@@ -6,18 +6,21 @@ The box-constrained lq objective over x is rewritten with slack variables as
 
 with w = (w1; w2; w3) = (powers; residual slacks; budget slacks) and the
 2K x 3K block matrix A~ = [[A, I, 0], [I, 0, I]].  Each iteration solves a
-projection problem in the space scaled by W = Diag(w): a fixed-radius step
-along the projected scaled gradient reduces the potential
+projection problem in the space scaled by W = Diag(w) for the projected
+scaled gradient g, then line-searches the potential
 
     phi(w) = rho * log f(w) - sum_n log w_n
 
-by at least 2 - sqrt(3) until either phi falls below the eps-optimality
-threshold or the projected direction has norm <= 1, which certifies an
-eps-KKT point.
+along w o (1 + t g).  The candidates are the step of radius beta, t = beta /
+||g||, which lowers phi by at least 2 - sqrt(3) while ||g|| > 1, and fixed
+fractions of the distance to the boundary w > 0; the lowest phi wins, so
+every step keeps that guarantee.  The iteration stops once phi falls below
+the eps-optimality threshold or the projected direction has norm <= 1,
+which certifies an eps-KKT point.
 
 All multistart runs advance in lockstep through a batched core; the public
-single-iterate operations are thin wrappers over a batch of one, so both
-paths share the same arithmetic.
+single-step operation reuses its direction and line-search helpers on a
+batch of one, so both paths share the same arithmetic.
 """
 
 from __future__ import annotations
@@ -33,8 +36,12 @@ from .network import NormalizedProblem
 EPS_OPTIMAL = "eps-optimal"
 EPS_KKT = "eps-kkt"
 ITERATION_CAP = "iteration-cap"
+UNDERFLOW = "underflow"
 
 STEP_BETA = 1.0 - math.sqrt(3.0) / 3.0
+# Line-search step lengths as fractions of the distance to the boundary,
+# tried next to the guaranteed step beta / ||g||.
+LINE_SEARCH_FRACTIONS = (0.3, 0.5, 0.7, 0.9, 0.99)
 MIN_POTENTIAL_DECREASE = 2.0 - math.sqrt(3.0)
 _W_FLOOR = 1e-280  # retire a start once a component nears the float64 range
 
@@ -195,11 +202,11 @@ def interior_point_random(problem: AugmentedProblem, xi: np.ndarray, init_margin
 
 def _batch_objective(W: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
     k = problem.K
-    return W[:, :k] @ problem.c_tilde + np.sum(W[:, k : 2 * k] ** problem.q, axis=1)
+    return W[..., :k] @ problem.c_tilde + np.sum(W[..., k : 2 * k] ** problem.q, axis=-1)
 
 
 def _batch_potential(W: np.ndarray, problem: AugmentedProblem, rho: float) -> np.ndarray:
-    return rho * np.log(_batch_objective(W, problem)) - np.sum(np.log(W), axis=1)
+    return rho * np.log(_batch_objective(W, problem)) - np.sum(np.log(W), axis=-1)
 
 
 def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -219,6 +226,75 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("normal equations remained singular after regularization")
 
 
+def _projected_direction(W: np.ndarray, problem: AugmentedProblem, rho: float):
+    """Objective, multipliers, reduced gradient and scaled direction g per row of W.
+
+    g = e - (rho / f) W (grad f - A~^T lambda) is the projection of the
+    scaled potential gradient onto the null space of A~ W, so A~ W g = 0.
+    """
+    k = problem.K
+    q = problem.q
+    At = problem.A_tilde
+    f = _batch_objective(W, problem)
+    grad = np.empty_like(W)
+    grad[:, :k] = problem.c_tilde
+    grad[:, k : 2 * k] = q * W[:, k : 2 * k] ** (q - 1.0)
+    grad[:, 2 * k :] = 0.0
+
+    M = At[None, :, :] * W[:, None, :]                  # A~ W, (N, 2K, 3K)
+    normal = M @ np.swapaxes(M, 1, 2)                    # A~ W^2 A~^T
+    rhs = np.einsum("nij,nj->ni", M, W * grad - (f / rho)[:, None])
+    lam = _solve_normal(normal, rhs)
+    resid = grad - np.einsum("ij,nj->ni", At.T, lam)     # grad f - A~^T lambda
+    g = 1.0 - (rho / f)[:, None] * W * resid
+    return f, lam, resid, g, np.linalg.norm(g, axis=1)
+
+
+def _line_search(
+    W: np.ndarray, g: np.ndarray, norm_g: np.ndarray,
+    problem: AugmentedProblem, rho: float, beta: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move each row w of W to w o (1 + t g) at the candidate t of lowest potential.
+
+    The candidates are t = beta / ||g||, whose potential drop is at least
+    2 - sqrt(3) while ||g|| > 1, and LINE_SEARCH_FRACTIONS of t_max, the
+    distance to the boundary of w o (1 + t g) > 0.  Every candidate keeps
+    A~ w = b~ because A~ W g = 0.  Returns the new rows and their potentials.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_max = np.min(np.where(g < 0.0, -1.0 / g, np.inf), axis=1)
+        t = np.concatenate(
+            [(beta / norm_g)[:, None], t_max[:, None] * np.asarray(LINE_SEARCH_FRACTIONS)], axis=1)
+        cand = W[:, None, :] * (1.0 + t[:, :, None] * g[:, None, :])   # (N, C, 3K)
+        phi = _batch_potential(cand, problem, rho)
+    phi[~(np.isfinite(phi) & np.all(cand > 0.0, axis=2))] = np.inf
+    rows = np.arange(W.shape[0])
+    best = np.argmin(phi, axis=1)
+    phi_best = phi[rows, best]
+    if not np.all(np.isfinite(phi_best)):
+        raise RuntimeError("no step candidate keeps the iterate strictly positive")
+    return cand[rows, best], phi_best
+
+
+def _certificate(
+    problem: AugmentedProblem, config: SolverConfig, w: np.ndarray, lam: np.ndarray,
+    resid: np.ndarray, f_val: float, termination: str, iterations: int,
+) -> KktCertificate:
+    k = problem.K
+    w2q = np.zeros_like(w)
+    w2q[k : 2 * k] = problem.q * w[k : 2 * k] ** problem.q
+    return KktCertificate(
+        lam=lam,
+        dual_residual=float(np.min(resid)),
+        comp_gap=float(w @ resid / f_val),
+        epsilon=config.epsilon,
+        termination=termination,
+        f_value=float(f_val),
+        gap_literal=float(np.sum(w2q - (problem.A_tilde.T @ lam) * w) / f_val),
+        iterations=int(iterations),
+    )
+
+
 @dataclass
 class _StartResult:
     w: np.ndarray
@@ -232,58 +308,30 @@ def _solve_batch(
     trace_file=None,
 ) -> list[_StartResult]:
     """Run the potential-reduction iteration from each row of W0."""
-    n_starts, n = W0.shape
+    n_starts = W0.shape[0]
     k = problem.K
     q = problem.q
     rho = config.rho(k, q)
-    beta = config.beta
     cap = config.iter_cap(k, q)
     threshold = (rho - k / q) * math.log(config.epsilon) + (k / q) * math.log(k) + k * math.log(4.0)
 
-    At = problem.A_tilde
     W = W0.copy()
     active = np.arange(n_starts)
     results: list[_StartResult | None] = [None] * n_starts
     iters = np.zeros(n_starts, dtype=int)
 
-    def finalize(idx, w, lam, resid, f_val, termination):
-        comp_gap = float(w @ resid / f_val)
-        w2q = np.zeros(n)
-        w2q[k : 2 * k] = q * w[k : 2 * k] ** q
-        gap_literal = float(np.sum(w2q - (At.T @ lam) * w) / f_val)
-        results[idx] = _StartResult(
-            w=w,
-            certificate=KktCertificate(
-                lam=lam,
-                dual_residual=float(np.min(resid)),
-                comp_gap=comp_gap,
-                epsilon=config.epsilon,
-                termination=termination,
-                f_value=float(f_val),
-                gap_literal=gap_literal,
-                iterations=int(iters[idx]),
-            ),
-        )
+    def finalize(row, termination):
+        idx = active[row]
+        w = Wa[row].copy()
+        results[idx] = _StartResult(w=w, certificate=_certificate(
+            problem, config, w, lam[row], resid[row], f[row], termination, iters[idx]))
 
     for it in range(cap + 1):
         if active.size == 0:
             break
         Wa = W[active]
-        f = _batch_objective(Wa, problem)
+        f, lam, resid, g, norm_g = _projected_direction(Wa, problem, rho)
         phi = rho * np.log(f) - np.sum(np.log(Wa), axis=1)
-
-        grad = np.empty_like(Wa)
-        grad[:, :k] = problem.c_tilde
-        grad[:, k : 2 * k] = q * Wa[:, k : 2 * k] ** (q - 1.0)
-        grad[:, 2 * k :] = 0.0
-
-        M = At[None, :, :] * Wa[:, None, :]                 # A~ W, (N, 2K, 3K)
-        normal = M @ np.swapaxes(M, 1, 2)                    # A~ W^2 A~^T
-        rhs = np.einsum("nij,nj->ni", M, Wa * grad - (f / rho)[:, None])
-        lam = _solve_normal(normal, rhs)
-        resid = grad - np.einsum("ij,nj->ni", At.T, lam)     # grad f - A~^T lambda
-        g = 1.0 - (rho / f)[:, None] * Wa * resid
-        norm_g = np.linalg.norm(g, axis=1)
 
         if trace_file is not None:
             for row, idx in enumerate(active):
@@ -295,33 +343,25 @@ def _solve_batch(
 
         done_optimal = phi <= threshold
         done_kkt = ~done_optimal & (norm_g <= 1.0)
-        done = done_optimal | done_kkt
-        for row in np.nonzero(done)[0]:
-            term = EPS_OPTIMAL if done_optimal[row] else EPS_KKT
-            finalize(active[row], Wa[row].copy(), lam[row], resid[row], f[row], term)
+        for row in np.nonzero(done_optimal | done_kkt)[0]:
+            finalize(row, EPS_OPTIMAL if done_optimal[row] else EPS_KKT)
 
-        keep = ~done
+        keep = np.nonzero(~(done_optimal | done_kkt))[0]
         if it == cap:
-            for row in np.nonzero(keep)[0]:
-                finalize(active[row], Wa[row].copy(), lam[row], resid[row], f[row], ITERATION_CAP)
+            for row in keep:
+                finalize(row, ITERATION_CAP)
             break
 
-        step = (beta / norm_g[keep])[:, None] * g[keep]
-        W_new = Wa[keep] * (1.0 + step)
-        if np.any(W_new <= 0):
-            raise RuntimeError("iterate left the positive orthant (step radius beta < 1 violated)")
+        W_new, _ = _line_search(Wa[keep], g[keep], norm_g[keep], problem, rho, config.beta)
         # For very small q the eps-KKT slack target can underflow float64;
         # retire such starts instead of letting the gradient blow up.
         floored = np.min(W_new, axis=1) < _W_FLOOR
-        if np.any(floored):
-            keep_rows = np.nonzero(keep)[0]
-            for j in np.nonzero(floored)[0]:
-                row = keep_rows[j]
-                finalize(active[row], Wa[row].copy(), lam[row], resid[row], f[row], ITERATION_CAP)
-        survivors = ~floored
-        W[active[keep][survivors]] = W_new[survivors]
-        iters[active[keep][survivors]] += 1
-        active = active[keep][survivors]
+        for row in keep[floored]:
+            finalize(row, UNDERFLOW)
+        moved = active[keep[~floored]]
+        W[moved] = W_new[~floored]
+        iters[moved] += 1
+        active = moved
 
     return [r for r in results if r is not None]
 
@@ -329,48 +369,21 @@ def _solve_batch(
 def reduction_step(
     state: IterateState, problem: AugmentedProblem, config: SolverConfig | None = None
 ) -> tuple[IterateState, KktCertificate | None]:
-    """One projected potential-reduction step.
+    """One projected potential-reduction step, with the line search of _solve_batch.
 
     Returns the advanced state and None, or the unchanged state together
     with an eps-KKT certificate when the projected direction already has
     norm <= 1.
     """
     config = config or SolverConfig()
-    k = problem.K
-    q = problem.q
-    w = state.w
-    f = objective_f(w, problem)
-    grad = gradient_f(w, problem)
-    At = problem.A_tilde
-    M = At * w[None, :]
-    normal = M @ M.T
-    rhs = M @ (w * grad - (f / state.rho))
-    lam = _solve_normal(normal[None], rhs[None])[0]
-    resid = grad - At.T @ lam
-    g = 1.0 - (state.rho / f) * w * resid
-    norm_g = float(np.linalg.norm(g))
-    if norm_g <= 1.0:
-        comp_gap = float(w @ resid / f)
-        w2q = np.zeros(3 * k)
-        w2q[k : 2 * k] = q * w[k : 2 * k] ** q
-        cert = KktCertificate(
-            lam=lam,
-            dual_residual=float(np.min(resid)),
-            comp_gap=comp_gap,
-            epsilon=config.epsilon,
-            termination=EPS_KKT,
-            f_value=f,
-            gap_literal=float(np.sum(w2q - (At.T @ lam) * w) / f),
-            iterations=state.iteration,
-        )
-        return state, cert
-    step = (state.beta / norm_g) * g
-    w_new = w * (1.0 + step)
-    assert np.all(w_new > 0), "step radius beta < 1 must preserve positivity"
-    f_new = objective_f(w_new, problem)
-    phi_new = state.rho * math.log(f_new) - float(np.sum(np.log(w_new)))
+    W = state.w[None, :]
+    f, lam, resid, g, norm_g = _projected_direction(W, problem, state.rho)
+    if norm_g[0] <= 1.0:
+        return state, _certificate(problem, config, state.w, lam[0], resid[0], f[0],
+                                   EPS_KKT, state.iteration)
+    W_new, phi_new = _line_search(W, g, norm_g, problem, state.rho, state.beta)
     new_state = IterateState(
-        w=w_new, f_value=f_new, potential=phi_new,
+        w=W_new[0], f_value=objective_f(W_new[0], problem), potential=float(phi_new[0]),
         rho=state.rho, beta=state.beta, iteration=state.iteration + 1,
     )
     return new_state, None
@@ -433,7 +446,8 @@ def multistart_solve(
     Each rounded solution is scored by the thresholded l0 objective
     #{k: [b - A x]_k > zero_tol} + alpha pbar^T x; ties break by the lower
     power term and then the lower start index.  Starts that hit the
-    iteration cap are skipped (at least one start must terminate cleanly).
+    iteration cap or underflow are skipped (at least one start must
+    terminate cleanly).
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -455,7 +469,7 @@ def multistart_solve(
     best = None
     best_key = None
     for idx, res in enumerate(results):
-        if res.certificate.termination == ITERATION_CAP:
+        if res.certificate.termination in (ITERATION_CAP, UNDERFLOW):
             continue
         x, support = round_to_power(res.w, problem, config.zero_tol)
         power_term = float(problem.c_tilde @ x)
@@ -465,7 +479,7 @@ def multistart_solve(
             best_key = key
             best = (x, support, score, idx)
     if best is None:
-        raise RuntimeError("every start hit the iteration cap")
+        raise RuntimeError("every start hit the iteration cap or underflowed")
     x, support, score, idx = best
     return MultistartResult(
         x=x,

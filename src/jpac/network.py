@@ -25,6 +25,13 @@ def _as_vector(v, k: int, name: str) -> np.ndarray:
     return a
 
 
+def _require_finite(obj, names) -> None:
+    # NaN slips through every sign check below, so test finiteness first.
+    for name in names:
+        if not np.all(np.isfinite(getattr(obj, name))):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class NetworkInstance:
     """Physical channel: gains, noises, SINR targets, and power budgets.
@@ -50,6 +57,7 @@ class NetworkInstance:
         object.__setattr__(self, "noise", _as_vector(self.noise, k, "noise"))
         object.__setattr__(self, "sinr_targets", _as_vector(self.sinr_targets, k, "sinr_targets"))
         object.__setattr__(self, "budgets", _as_vector(self.budgets, k, "budgets"))
+        _require_finite(self, ("gains", "noise", "sinr_targets", "budgets"))
         if np.any(gains < 0):
             raise ValueError("channel gains must be nonnegative")
         if np.any(np.diag(gains) <= 0):
@@ -120,6 +128,7 @@ class NormalizedProblem:
             object.__setattr__(self, "link_ids", tuple(range(k)))
         elif len(self.link_ids) != k:
             raise ValueError("link_ids length must match problem size")
+        _require_finite(self, ("A", "b", "budgets"))
         if np.any(np.diag(A) != 1.0):
             raise ValueError("A must have exactly unit diagonal")
         off = A - np.diag(np.diag(A))
@@ -197,44 +206,15 @@ def normalize(instance: NetworkInstance) -> NormalizedProblem:
 
 
 def spectral_radius(M) -> float:
-    """Spectral radius of a nonnegative square matrix.
-
-    Dense eigensolve for small matrices; power iteration with random
-    positive restarts above that (Perron-Frobenius makes the iteration
-    reliable on nonnegative matrices, restarts cover reducible cases).
-    """
+    """Spectral radius of a nonnegative square matrix, by dense eigensolve."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
     if np.any(M < 0):
         raise ValueError("M must be nonnegative")
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[0] == 0:
         return 0.0
-    if not np.any(M):
-        return 0.0
-    if n <= 64:
-        return float(np.max(np.abs(np.linalg.eigvals(M))))
-    rng = np.random.default_rng(0)
-    best = 0.0
-    for _ in range(10):
-        v = rng.uniform(0.1, 1.0, size=n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(10_000):
-            mv = M @ v
-            norm = np.linalg.norm(mv)
-            if norm == 0.0:
-                lam = 0.0
-                break
-            v_next = mv / norm
-            lam_next = float(v_next @ (M @ v_next))
-            if abs(lam_next - lam) <= 1e-12 * max(1.0, abs(lam_next)):
-                lam = lam_next
-                break
-            v, lam = v_next, lam_next
-        best = max(best, lam)
-    return best
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def select_alpha(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jpac import kernel
-from jpac.network import NormalizedProblem
+from jpac.network import NormalizedProblem, select_alpha
 
 from conftest import ALPHA3, X3_STAR, random_problem
 
@@ -159,13 +159,25 @@ class TestInteriorPoints:
 
 
 class TestReductionStep:
-    def test_scaled_step_norm_is_beta(self, aug3):
+    def test_step_no_worse_than_beta_step(self, aug3):
+        # The radius-beta step along the projected direction, computed by
+        # hand, is one of the line-search candidates.
         config = kernel.SolverConfig()
-        state = kernel.make_state(aug3, config, kernel.interior_point_default(aug3))
+        w = kernel.interior_point_default(aug3)
+        state = kernel.make_state(aug3, config, w)
+        f = kernel.objective_f(w, aug3)
+        grad = kernel.gradient_f(w, aug3)
+        AW = aug3.A_tilde * w[None, :]
+        lam = np.linalg.solve(AW @ AW.T, AW @ (w * grad - f / state.rho))
+        g = 1.0 - (state.rho / f) * w * (grad - aug3.A_tilde.T @ lam)
+        w_beta = w * (1.0 + (config.beta / np.linalg.norm(g)) * g)
+        phi_beta = kernel.potential(w_beta, aug3, state.rho)
+
         new, cert = kernel.reduction_step(state, aug3, config)
         assert cert is None
-        scaled = (new.w - state.w) / state.w
-        assert np.linalg.norm(scaled) == pytest.approx(config.beta, rel=1e-10)
+        assert kernel.potential(new.w, aug3, state.rho) <= phi_beta + 1e-12
+        assert np.all(new.w > 0.0)
+        assert np.max(np.abs(aug3.A_tilde @ new.w - aug3.b_tilde)) <= 1e-10
 
     def test_potential_decrease_and_feasibility(self):
         config = kernel.SolverConfig(epsilon=1e-3)
@@ -249,6 +261,16 @@ class TestSolve:
         assert cert.termination == kernel.ITERATION_CAP
         assert cert.iterations == 3
 
+    def test_underflow_termination(self, aug3, monkeypatch):
+        monkeypatch.setattr(kernel, "_W_FLOOR", 0.1)
+        config = kernel.SolverConfig(epsilon=1e-4)
+        _, cert = kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))
+        assert cert.termination == kernel.UNDERFLOW
+        assert cert.iterations < config.iter_cap(aug3.K, aug3.q)
+        # multistart skips underflowed starts as it skips capped ones
+        with pytest.raises(RuntimeError):
+            kernel.multistart_solve(aug3, config, n_starts=3, seed=0)
+
     def test_rejects_boundary_start(self, aug3):
         with pytest.raises(ValueError):
             kernel.solve_potential_reduction(aug3, kernel.SolverConfig(), np.zeros(9))
@@ -262,6 +284,22 @@ class TestSolve:
         assert set(records[0]) == {"iter", "f", "phi", "norm_g"}
         phis = [r["phi"] for r in records]
         assert all(b < a for a, b in zip(phis, phis[1:]))
+
+    def test_traced_potential_decrease_random(self, tmp_path):
+        # The production path on random instances: every step of the line
+        # search lowers phi by at least the radius-beta guarantee.
+        worst = np.inf
+        for i, K in enumerate((3, 5, 8, 12, 16, 20)):
+            for j, q in enumerate((0.1, 0.3, 0.5, 1.0)):
+                prob = random_problem(K, 3000 + 4 * i + j)
+                prob = prob.with_alpha(select_alpha(prob))
+                aug = kernel.augment(prob, q=q)
+                path = tmp_path / f"trace_{K}_{q}.jsonl"
+                config = kernel.SolverConfig(trace_path=str(path))
+                kernel.solve_potential_reduction(aug, config, kernel.interior_point_default(aug))
+                phis = [json.loads(line)["phi"] for line in path.read_text().splitlines()]
+                worst = min([worst] + [a - b for a, b in zip(phis, phis[1:])])
+        assert worst >= kernel.MIN_POTENTIAL_DECREASE - 1e-9
 
 
 class TestMultistart:

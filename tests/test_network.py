@@ -105,6 +105,22 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius([[1.0, -1.0], [0.0, 1.0]])
 
+    def test_near_tied_eigenvalues_k100(self):
+        # Close receivers make the two largest eigenvalues of I - A nearly
+        # tie; a power iteration returned 49419.8 on this instance.
+        from jpac.scenario import ScenarioConfig, generate
+
+        M = np.eye(100) - normalize(generate(ScenarioConfig(K=100, seed=3))).A
+        rho = spectral_radius(M)
+        # Gelfand's formula: ||M^(2^j)||^(1/2^j) -> rho, by repeated squaring.
+        P, log_rho = M, 0.0
+        for j in range(30):
+            norm = np.linalg.norm(P)
+            P = (P / norm) @ (P / norm)
+            log_rho += np.log(norm) / 2.0 ** j
+        assert rho == pytest.approx(np.exp(log_rho), rel=1e-6)
+        assert rho == pytest.approx(27304.9, rel=1e-5)
+
 
 class TestSelectAlpha:
     def test_three_link_high_interference_branch(self, three_link_no_alpha):
@@ -177,6 +193,24 @@ class TestValidation:
     def test_nonunit_diagonal_rejected(self):
         with pytest.raises(ValueError):
             NormalizedProblem(A=[[2.0]], b=[0.5], budgets=[1.0])
+
+    def test_nan_gain_rejected(self):
+        with pytest.raises(ValueError):
+            NetworkInstance(gains=[[1.0, np.nan], [0.1, 1.0]], noise=[1.0, 1.0],
+                            sinr_targets=[1.0, 1.0], budgets=[1.0, 1.0])
+
+    def test_inf_sinr_target_rejected(self):
+        with pytest.raises(ValueError):
+            NetworkInstance(gains=[[1.0, 0.1], [0.1, 1.0]], noise=[1.0, 1.0],
+                            sinr_targets=[1.0, np.inf], budgets=[1.0, 1.0])
+
+    def test_nan_in_A_rejected(self):
+        with pytest.raises(ValueError):
+            NormalizedProblem(A=[[1.0, np.nan], [0.0, 1.0]], b=[0.5, 0.5], budgets=[1.0, 1.0])
+
+    def test_nan_in_b_rejected(self):
+        with pytest.raises(ValueError):
+            NormalizedProblem(A=np.eye(2), b=[0.5, np.nan], budgets=[1.0, 1.0])
 
     def test_alpha_out_of_range(self, three_link_no_alpha):
         with pytest.raises(ValueError):
