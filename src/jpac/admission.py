@@ -15,7 +15,7 @@ link ids (via link_ids) in their results.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,20 +181,10 @@ def _deflate(
         sub = restrict(base, keep)
         if reselect_alpha:
             sub = sub.with_alpha(select_alpha(sub))
-        aug = kernel.augment(sub, q=q)
-        if n_starts == 1 and q == 1.0:
-            w, cert = kernel.solve_potential_reduction(
-                aug, config, kernel.interior_point_default(aug)
-            )
-            x, _ = kernel.round_to_power(w, aug, config.zero_tol)
-            stats["solver_calls"] += 1
-            stats["total_iterations"] += cert.iterations
-        else:
-            res = kernel.multistart_solve(aug, config, n_starts, seed + round_idx)
-            x = res.x
-            stats["solver_calls"] += n_starts
-            stats["total_iterations"] += res.total_iterations
-        k0 = removal_candidate(sub, x)
+        res = kernel.multistart_solve(kernel.augment(sub, q=q), config, n_starts, seed + round_idx)
+        stats["solver_calls"] += n_starts
+        stats["total_iterations"] += res.total_iterations
+        k0 = removal_candidate(sub, res.x)
         removal_trace.append({
             "link": int(sub.link_ids[k0]),
             "stage": "deflate",

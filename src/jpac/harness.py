@@ -23,8 +23,6 @@ from .network import normalize, select_alpha
 from .oracle import enumerate_l0, estimate_qbar
 from .scenario import ScenarioConfig, generate
 
-EXPERIMENTS = ("recover-qbar", "approx-compare", "deflate-compare", "q-sensitivity", "scaling-ratio")
-
 ROW_FIELDS = ["experiment", "K", "q", "algorithm", "seed", "supported",
               "power_mw", "runtime_ms", "match", "qbar", "error"]
 SUMMARY_FIELDS = ["experiment", "K", "q", "algorithm", "metric", "value"]
@@ -90,8 +88,9 @@ def _instance_seed(master: int, K: int, run: int) -> int:
     return int(np.random.SeedSequence(entropy=[master, K, run]).generate_state(1)[0])
 
 
-def _solver_seed(master: int, K: int, run: int, salt: int = 1) -> int:
-    return int(np.random.SeedSequence(entropy=[master, K, run, salt]).generate_state(1)[0])
+def _solver_seed(master: int, K: int, run: int) -> int:
+    # The fourth entropy word keeps solver streams apart from instance streams.
+    return int(np.random.SeedSequence(entropy=[master, K, run, 1]).generate_state(1)[0])
 
 
 def _make_problem(config: ExperimentConfig, K: int, run: int, distance_scale: float = 1.0):
@@ -120,114 +119,85 @@ def _revalidated_support(problem, x, support) -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[MetricsRow], list[dict]]:
-    runner = {
-        "recover-qbar": _run_recover_qbar,
-        "approx-compare": _run_approx_compare,
-        "deflate-compare": _run_deflate_compare,
-        "q-sensitivity": _run_q_sensitivity,
-        "scaling-ratio": _run_scaling_ratio,
-    }[config.experiment]
-    rows = runner(config)
+    cell = _CELLS[config.experiment]
+    scfg = kernel.SolverConfig(epsilon=config.epsilon)
+    rows = []
+    for K in config.K_list:
+        for run in range(config.runs):
+            rows.extend(cell(config, scfg, K, run))
     rows.sort(key=lambda r: (r.K, r.q if r.q is not None else -1.0, r.algorithm, r.seed))
     summary = summarize(rows)
     return rows, summary
 
 
-def _solver_config(config: ExperimentConfig) -> kernel.SolverConfig:
-    return kernel.SolverConfig(epsilon=config.epsilon)
-
-
-def _run_recover_qbar(config: ExperimentConfig) -> list[MetricsRow]:
-    rows = []
-    scfg = _solver_config(config)
-    for K in config.K_list:
-        for run in range(config.runs):
-            row = MetricsRow(config.experiment, K, None, "lq-recovery", run)
-            t0 = time.perf_counter()
-            try:
-                problem = _make_problem(config, K, run)
-                qbar, status = estimate_qbar(
-                    problem, n_starts=config.n_starts, config=scfg,
-                    seed=_solver_seed(config.seed, K, run),
-                )
-                row.qbar = qbar
-                row.match = status == "success"
-            except Exception as exc:  # pragma: no cover - recorded, not raised
-                row.error = repr(exc)
-            row.runtime_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(row)
-    return rows
-
-
-def _run_approx_compare(config: ExperimentConfig) -> list[MetricsRow]:
-    rows = []
-    scfg = _solver_config(config)
-    for K in config.K_list:
-        for run in range(config.runs):
-            try:
-                problem = _make_problem(config, K, run)
-                problem = problem.with_alpha(select_alpha(problem))
-            except Exception as exc:  # pragma: no cover
-                for algo in ["benchmark", "l1"] + [f"lq{q:g}" for q in config.q_list]:
-                    rows.append(MetricsRow(config.experiment, K, None, algo, run, error=repr(exc)))
-                continue
-
-            t0 = time.perf_counter()
-            bench = enumerate_l0(problem)
-            bench_power = float(problem.budgets @ bench.best_x) * 1e3
-            rows.append(MetricsRow(
-                config.experiment, K, None, "benchmark", run,
-                supported=len(bench.best_support), power_mw=bench_power,
-                runtime_ms=(time.perf_counter() - t0) * 1e3, match=True,
-            ))
-
-            for q in config.q_list:
-                row = MetricsRow(config.experiment, K, q, f"lq{q:g}", run)
-                t0 = time.perf_counter()
-                try:
-                    aug = kernel.augment(problem, q=q)
-                    res = kernel.multistart_solve(
-                        aug, scfg, config.n_starts, _solver_seed(config.seed, K, run)
-                    )
-                    row.supported = _revalidated_support(problem, res.x, res.support)
-                    row.power_mw = float(problem.budgets @ res.x) * 1e3
-                    row.match = (
-                        set(res.support) == set(bench.best_support)
-                        and abs(row.power_mw - bench_power) <= 1e-3 * max(bench_power, 1e-12)
-                    )
-                except Exception as exc:  # pragma: no cover
-                    row.error = repr(exc)
-                row.runtime_ms = (time.perf_counter() - t0) * 1e3
-                rows.append(row)
-
-            row = MetricsRow(config.experiment, K, 1.0, "l1", run)
-            t0 = time.perf_counter()
-            try:
-                aug = kernel.augment(problem, q=1.0)
-                w, _ = kernel.solve_potential_reduction(aug, scfg, kernel.interior_point_default(aug))
-                x, support = kernel.round_to_power(w, aug, scfg.zero_tol)
-                row.supported = _revalidated_support(problem, x, support)
-                row.power_mw = float(problem.budgets @ x) * 1e3
-                row.match = (
-                    set(support) == set(bench.best_support)
-                    and abs(row.power_mw - bench_power) <= 1e-3 * max(bench_power, 1e-12)
-                )
-            except Exception as exc:  # pragma: no cover
-                row.error = repr(exc)
-            row.runtime_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(row)
-    return rows
-
-
-def _deflate_row(config, scfg, problem, K, q, run, algorithm, distance_scale=1.0, salt=1):
+def _timed_row(config: ExperimentConfig, K: int, q, algorithm: str, run: int, solve) -> MetricsRow:
+    """One row; solve(row) fills in the results, an exception it raises is recorded."""
     row = MetricsRow(config.experiment, K, q, algorithm, run)
     t0 = time.perf_counter()
     try:
+        solve(row)
+    except Exception as exc:  # pragma: no cover - recorded, not raised
+        row.error = repr(exc)
+    row.runtime_ms = (time.perf_counter() - t0) * 1e3
+    return row
+
+
+def _recover_qbar_cell(config, scfg, K, run) -> list[MetricsRow]:
+    def solve(row):
+        problem = _make_problem(config, K, run)
+        row.qbar, status = estimate_qbar(
+            problem, n_starts=config.n_starts, config=scfg,
+            seed=_solver_seed(config.seed, K, run),
+        )
+        row.match = status == "success"
+
+    return [_timed_row(config, K, None, "lq-recovery", run, solve)]
+
+
+def _approx_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
+    try:
+        problem = _make_problem(config, K, run)
+        problem = problem.with_alpha(select_alpha(problem))
+    except Exception as exc:  # pragma: no cover
+        return [MetricsRow(config.experiment, K, None, algo, run, error=repr(exc))
+                for algo in ["benchmark", "l1"] + [f"lq{q:g}" for q in config.q_list]]
+    bench = None
+
+    def benchmark(row):
+        nonlocal bench
+        bench = enumerate_l0(problem)
+        row.supported = len(bench.best_support)
+        row.power_mw = float(problem.budgets @ bench.best_x) * 1e3
+        row.match = True
+
+    def relaxation(q, n_starts):
+        # l1 is the q = 1 relaxation from the default start alone.
+        def solve(row):
+            aug = kernel.augment(problem, q=q)
+            res = kernel.multistart_solve(aug, scfg, n_starts, _solver_seed(config.seed, K, run))
+            row.supported = _revalidated_support(problem, res.x, res.support)
+            row.power_mw = float(problem.budgets @ res.x) * 1e3
+            bench_power = float(problem.budgets @ bench.best_x) * 1e3
+            row.match = (
+                set(res.support) == set(bench.best_support)
+                and abs(row.power_mw - bench_power) <= 1e-3 * max(bench_power, 1e-12)
+            )
+        return solve
+
+    rows = [_timed_row(config, K, None, "benchmark", run, benchmark)]
+    for q in config.q_list:
+        rows.append(_timed_row(config, K, q, f"lq{q:g}", run, relaxation(q, config.n_starts)))
+    rows.append(_timed_row(config, K, 1.0, "l1", run, relaxation(1.0, 1)))
+    return rows
+
+
+def _deflate_row(config, scfg, problem, K, q, run, algorithm) -> MetricsRow:
+    def solve(row):
         result = (
             run_nlpd(problem.with_alpha(select_alpha(problem)), scfg)
             if algorithm == "nlpd"
             else run_lqmd(problem, q=q, n_starts=config.n_starts, config=scfg,
-                          seed=_solver_seed(config.seed, K, run, salt))
+                          seed=_solver_seed(config.seed, K, run))
         )
         # Revalidate through the exact oracle before reporting.
         ids = list(problem.link_ids)
@@ -236,46 +206,37 @@ def _deflate_row(config, scfg, problem, K, q, run, algorithm, distance_scale=1.0
             raise RuntimeError("admitted set failed exact revalidation")
         row.supported = len(positions)
         row.power_mw = result.total_power_mw
-    except Exception as exc:  # pragma: no cover
-        row.error = repr(exc)
-    row.runtime_ms = (time.perf_counter() - t0) * 1e3
-    return row
+
+    return _timed_row(config, K, q, algorithm, run, solve)
 
 
-def _run_deflate_compare(config: ExperimentConfig) -> list[MetricsRow]:
-    rows = []
-    scfg = _solver_config(config)
-    q = config.q_list[0]
-    for K in config.K_list:
-        for run in range(config.runs):
-            problem = _make_problem(config, K, run)
-            rows.append(_deflate_row(config, scfg, problem, K, 1.0, run, "nlpd"))
-            rows.append(_deflate_row(config, scfg, problem, K, q, run, "lqmd"))
-    return rows
+def _deflate_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
+    problem = _make_problem(config, K, run)
+    return [_deflate_row(config, scfg, problem, K, 1.0, run, "nlpd"),
+            _deflate_row(config, scfg, problem, K, config.q_list[0], run, "lqmd")]
 
 
-def _run_q_sensitivity(config: ExperimentConfig) -> list[MetricsRow]:
-    rows = []
-    scfg = _solver_config(config)
-    for K in config.K_list:
-        for run in range(config.runs):
-            problem = _make_problem(config, K, run)
-            for q in config.q_list:
-                rows.append(_deflate_row(config, scfg, problem, K, q, run, f"lqmd-q{q:g}"))
-    return rows
+def _q_sensitivity_cell(config, scfg, K, run) -> list[MetricsRow]:
+    problem = _make_problem(config, K, run)
+    return [_deflate_row(config, scfg, problem, K, q, run, f"lqmd-q{q:g}") for q in config.q_list]
 
 
-def _run_scaling_ratio(config: ExperimentConfig) -> list[MetricsRow]:
+def _scaling_ratio_cell(config, scfg, K, run) -> list[MetricsRow]:
     # Paired setups share geometry and solver seeds; only distances scale.
-    rows = []
-    scfg = _solver_config(config)
-    q = config.q_list[0]
-    for K in config.K_list:
-        for run in range(config.runs):
-            for name, scale in (("lqmd-setup1", 1.0), ("lqmd-setup2", 0.707)):
-                problem = _make_problem(config, K, run, distance_scale=scale)
-                rows.append(_deflate_row(config, scfg, problem, K, q, run, name))
-    return rows
+    return [_deflate_row(config, scfg, _make_problem(config, K, run, distance_scale=scale),
+                         K, config.q_list[0], run, name)
+            for name, scale in (("lqmd-setup1", 1.0), ("lqmd-setup2", 0.707))]
+
+
+# Each experiment runs one cell function per (K, run) of its grid.
+_CELLS = {
+    "recover-qbar": _recover_qbar_cell,
+    "approx-compare": _approx_compare_cell,
+    "deflate-compare": _deflate_compare_cell,
+    "q-sensitivity": _q_sensitivity_cell,
+    "scaling-ratio": _scaling_ratio_cell,
+}
+EXPERIMENTS = tuple(_CELLS)
 
 
 def summarize(rows: list[MetricsRow]) -> list[dict]:

@@ -18,13 +18,13 @@ every step keeps that guarantee.  The iteration stops once phi falls below
 the eps-optimality threshold or the projected direction has norm <= 1,
 which certifies an eps-KKT point.
 
-All multistart runs advance in lockstep through a batched core; the public
-single-step operation reuses its direction and line-search helpers on a
-batch of one, so both paths share the same arithmetic.
+All starts advance in lockstep through one batched core; a single solve is
+that core on a batch of one, so every caller runs the same arithmetic.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +42,10 @@ STEP_BETA = 1.0 - math.sqrt(3.0) / 3.0
 # Line-search step lengths as fractions of the distance to the boundary,
 # tried next to the guaranteed step beta / ||g||.
 LINE_SEARCH_FRACTIONS = (0.3, 0.5, 0.7, 0.9, 0.99)
+# beta - beta^2 / (2 (1 - beta)) at beta = STEP_BETA.
 MIN_POTENTIAL_DECREASE = 2.0 - math.sqrt(3.0)
+ITER_CAP_FACTOR = 10.0
+INIT_MARGIN = 1e-3  # random starts draw xi from [margin, 1 - margin]
 _W_FLOOR = 1e-280  # retire a start once a component nears the float64 range
 
 
@@ -73,18 +76,6 @@ class AugmentedProblem:
         return self.b_tilde[: self.K]
 
 
-@dataclass
-class IterateState:
-    """One strictly positive feasible iterate with its potential value."""
-
-    w: np.ndarray
-    f_value: float
-    potential: float
-    rho: float
-    beta: float
-    iteration: int = 0
-
-
 @dataclass(frozen=True)
 class KktCertificate:
     """Multipliers and residuals backing a solver termination claim.
@@ -108,16 +99,11 @@ class KktCertificate:
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-4
-    beta: float = STEP_BETA
-    iter_cap_factor: float = 10.0
     iter_cap_abs: int = 100_000
     zero_tol: float = 1e-6        # support-detection threshold on b - A x
-    init_margin: float = 1e-3     # clip random xi into [margin, 1 - margin]
     trace_path: str | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -127,7 +113,7 @@ class SolverConfig:
         return max(6.0 * K / self.epsilon, 2.0 * K / q)
 
     def iter_cap(self, K: int, q: float) -> int:
-        cap = self.iter_cap_factor * (K / min(self.epsilon, q)) * math.log(1.0 / self.epsilon)
+        cap = ITER_CAP_FACTOR * (K / min(self.epsilon, q)) * math.log(1.0 / self.epsilon)
         return int(min(max(cap, 1.0), self.iter_cap_abs))
 
 
@@ -144,37 +130,6 @@ def augment(normalized: NormalizedProblem, q: float = 1.0) -> AugmentedProblem:
     return AugmentedProblem(A_tilde=A_tilde, b_tilde=b_tilde, c_tilde=c_tilde, q=float(q), K=k)
 
 
-def with_q(problem: AugmentedProblem, q: float) -> AugmentedProblem:
-    return AugmentedProblem(
-        A_tilde=problem.A_tilde, b_tilde=problem.b_tilde, c_tilde=problem.c_tilde,
-        q=float(q), K=problem.K,
-    )
-
-
-def objective_f(w: np.ndarray, problem: AugmentedProblem) -> float:
-    k = problem.K
-    w2 = w[k : 2 * k]
-    return float(problem.c_tilde @ w[:k] + np.sum(w2 ** problem.q))
-
-
-def gradient_f(w: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
-    k = problem.K
-    w2 = w[k : 2 * k]
-    if np.any(w2 <= 0):
-        raise ValueError("gradient undefined: w2 has a nonpositive component")
-    return np.concatenate([
-        problem.c_tilde,
-        problem.q * w2 ** (problem.q - 1.0),
-        np.zeros(k),
-    ])
-
-
-def potential(w: np.ndarray, problem: AugmentedProblem, rho: float) -> float:
-    if np.any(w <= 0):
-        raise ValueError("potential undefined at the boundary")
-    return rho * math.log(objective_f(w, problem)) - float(np.sum(np.log(w)))
-
-
 def interior_point_default(problem: AugmentedProblem) -> np.ndarray:
     """Deterministic strictly interior start w0 = (m/2; b - A m/2; e - m/2)."""
     A, b = problem.A, problem.b
@@ -183,13 +138,13 @@ def interior_point_default(problem: AugmentedProblem) -> np.ndarray:
     return np.concatenate([w1, b - A @ w1, 1.0 - w1])
 
 
-def interior_point_random(problem: AugmentedProblem, xi: np.ndarray, init_margin: float = 1e-3) -> np.ndarray:
+def interior_point_random(problem: AugmentedProblem, xi: np.ndarray) -> np.ndarray:
     """Random strictly interior start w(xi) = (xi o m; b - A(xi o m); e - xi o m)."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (problem.K,):
         raise ValueError(f"xi must have shape ({problem.K},)")
-    if np.any(xi < init_margin) or np.any(xi > 1.0 - init_margin):
-        raise ValueError("xi must lie in [init_margin, 1 - init_margin]")
+    if np.any(xi < INIT_MARGIN) or np.any(xi > 1.0 - INIT_MARGIN):
+        raise ValueError("xi must lie in [INIT_MARGIN, 1 - INIT_MARGIN]")
     A, b = problem.A, problem.b
     w1 = xi * np.minimum(b, 1.0)
     return np.concatenate([w1, b - A @ w1, 1.0 - w1])
@@ -203,6 +158,15 @@ def interior_point_random(problem: AugmentedProblem, xi: np.ndarray, init_margin
 def _batch_objective(W: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
     k = problem.K
     return W[..., :k] @ problem.c_tilde + np.sum(W[..., k : 2 * k] ** problem.q, axis=-1)
+
+
+def _batch_gradient(W: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
+    k = problem.K
+    grad = np.empty_like(W)
+    grad[:, :k] = problem.c_tilde
+    grad[:, k : 2 * k] = problem.q * W[:, k : 2 * k] ** (problem.q - 1.0)
+    grad[:, 2 * k :] = 0.0
+    return grad
 
 
 def _batch_potential(W: np.ndarray, problem: AugmentedProblem, rho: float) -> np.ndarray:
@@ -223,7 +187,6 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             continue
         y = np.linalg.solve(L, rhs[..., None])
         return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
-    raise np.linalg.LinAlgError("normal equations remained singular after regularization")
 
 
 def _projected_direction(W: np.ndarray, problem: AugmentedProblem, rho: float):
@@ -232,14 +195,9 @@ def _projected_direction(W: np.ndarray, problem: AugmentedProblem, rho: float):
     g = e - (rho / f) W (grad f - A~^T lambda) is the projection of the
     scaled potential gradient onto the null space of A~ W, so A~ W g = 0.
     """
-    k = problem.K
-    q = problem.q
     At = problem.A_tilde
     f = _batch_objective(W, problem)
-    grad = np.empty_like(W)
-    grad[:, :k] = problem.c_tilde
-    grad[:, k : 2 * k] = q * W[:, k : 2 * k] ** (q - 1.0)
-    grad[:, 2 * k :] = 0.0
+    grad = _batch_gradient(W, problem)
 
     M = At[None, :, :] * W[:, None, :]                  # A~ W, (N, 2K, 3K)
     normal = M @ np.swapaxes(M, 1, 2)                    # A~ W^2 A~^T
@@ -251,29 +209,27 @@ def _projected_direction(W: np.ndarray, problem: AugmentedProblem, rho: float):
 
 
 def _line_search(
-    W: np.ndarray, g: np.ndarray, norm_g: np.ndarray,
-    problem: AugmentedProblem, rho: float, beta: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    W: np.ndarray, g: np.ndarray, norm_g: np.ndarray, problem: AugmentedProblem, rho: float
+) -> np.ndarray:
     """Move each row w of W to w o (1 + t g) at the candidate t of lowest potential.
 
-    The candidates are t = beta / ||g||, whose potential drop is at least
+    The candidates are t = STEP_BETA / ||g||, whose potential drop is at least
     2 - sqrt(3) while ||g|| > 1, and LINE_SEARCH_FRACTIONS of t_max, the
     distance to the boundary of w o (1 + t g) > 0.  Every candidate keeps
-    A~ w = b~ because A~ W g = 0.  Returns the new rows and their potentials.
+    A~ w = b~ because A~ W g = 0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_max = np.min(np.where(g < 0.0, -1.0 / g, np.inf), axis=1)
         t = np.concatenate(
-            [(beta / norm_g)[:, None], t_max[:, None] * np.asarray(LINE_SEARCH_FRACTIONS)], axis=1)
+            [(STEP_BETA / norm_g)[:, None], t_max[:, None] * np.asarray(LINE_SEARCH_FRACTIONS)], axis=1)
         cand = W[:, None, :] * (1.0 + t[:, :, None] * g[:, None, :])   # (N, C, 3K)
         phi = _batch_potential(cand, problem, rho)
     phi[~(np.isfinite(phi) & np.all(cand > 0.0, axis=2))] = np.inf
     rows = np.arange(W.shape[0])
     best = np.argmin(phi, axis=1)
-    phi_best = phi[rows, best]
-    if not np.all(np.isfinite(phi_best)):
+    if not np.all(np.isfinite(phi[rows, best])):
         raise RuntimeError("no step candidate keeps the iterate strictly positive")
-    return cand[rows, best], phi_best
+    return cand[rows, best]
 
 
 def _certificate(
@@ -301,13 +257,12 @@ class _StartResult:
     certificate: KktCertificate
 
 
-def _solve_batch(
-    problem: AugmentedProblem,
-    config: SolverConfig,
-    W0: np.ndarray,
-    trace_file=None,
-) -> list[_StartResult]:
-    """Run the potential-reduction iteration from each row of W0."""
+def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray) -> list[_StartResult]:
+    """Run the potential-reduction iteration from each row of W0.
+
+    With config.trace_path set, one JSON line per start and iteration is
+    appended to that file.
+    """
     n_starts = W0.shape[0]
     k = problem.K
     q = problem.q
@@ -326,78 +281,46 @@ def _solve_batch(
         results[idx] = _StartResult(w=w, certificate=_certificate(
             problem, config, w, lam[row], resid[row], f[row], termination, iters[idx]))
 
-    for it in range(cap + 1):
-        if active.size == 0:
-            break
-        Wa = W[active]
-        f, lam, resid, g, norm_g = _projected_direction(Wa, problem, rho)
-        phi = rho * np.log(f) - np.sum(np.log(Wa), axis=1)
+    trace = open(config.trace_path, "a") if config.trace_path else contextlib.nullcontext()
+    with trace as trace_file:
+        for it in range(cap + 1):
+            if active.size == 0:
+                break
+            Wa = W[active]
+            f, lam, resid, g, norm_g = _projected_direction(Wa, problem, rho)
+            phi = rho * np.log(f) - np.sum(np.log(Wa), axis=1)
 
-        if trace_file is not None:
-            for row, idx in enumerate(active):
-                rec = {"iter": int(iters[idx]), "f": float(f[row]), "phi": float(phi[row]),
-                       "norm_g": float(norm_g[row])}
-                if n_starts > 1:
-                    rec["start"] = int(idx)
-                trace_file.write(json.dumps(rec) + "\n")
+            if trace_file is not None:
+                for row, idx in enumerate(active):
+                    rec = {"iter": int(iters[idx]), "f": float(f[row]), "phi": float(phi[row]),
+                           "norm_g": float(norm_g[row])}
+                    if n_starts > 1:
+                        rec["start"] = int(idx)
+                    trace_file.write(json.dumps(rec) + "\n")
 
-        done_optimal = phi <= threshold
-        done_kkt = ~done_optimal & (norm_g <= 1.0)
-        for row in np.nonzero(done_optimal | done_kkt)[0]:
-            finalize(row, EPS_OPTIMAL if done_optimal[row] else EPS_KKT)
+            done_optimal = phi <= threshold
+            done_kkt = ~done_optimal & (norm_g <= 1.0)
+            for row in np.nonzero(done_optimal | done_kkt)[0]:
+                finalize(row, EPS_OPTIMAL if done_optimal[row] else EPS_KKT)
 
-        keep = np.nonzero(~(done_optimal | done_kkt))[0]
-        if it == cap:
-            for row in keep:
-                finalize(row, ITERATION_CAP)
-            break
+            keep = np.nonzero(~(done_optimal | done_kkt))[0]
+            if it == cap:
+                for row in keep:
+                    finalize(row, ITERATION_CAP)
+                break
 
-        W_new, _ = _line_search(Wa[keep], g[keep], norm_g[keep], problem, rho, config.beta)
-        # For very small q the eps-KKT slack target can underflow float64;
-        # retire such starts instead of letting the gradient blow up.
-        floored = np.min(W_new, axis=1) < _W_FLOOR
-        for row in keep[floored]:
-            finalize(row, UNDERFLOW)
-        moved = active[keep[~floored]]
-        W[moved] = W_new[~floored]
-        iters[moved] += 1
-        active = moved
+            W_new = _line_search(Wa[keep], g[keep], norm_g[keep], problem, rho)
+            # For very small q the eps-KKT slack target can underflow float64;
+            # retire such starts instead of letting the gradient blow up.
+            floored = np.min(W_new, axis=1) < _W_FLOOR
+            for row in keep[floored]:
+                finalize(row, UNDERFLOW)
+            moved = active[keep[~floored]]
+            W[moved] = W_new[~floored]
+            iters[moved] += 1
+            active = moved
 
     return [r for r in results if r is not None]
-
-
-def reduction_step(
-    state: IterateState, problem: AugmentedProblem, config: SolverConfig | None = None
-) -> tuple[IterateState, KktCertificate | None]:
-    """One projected potential-reduction step, with the line search of _solve_batch.
-
-    Returns the advanced state and None, or the unchanged state together
-    with an eps-KKT certificate when the projected direction already has
-    norm <= 1.
-    """
-    config = config or SolverConfig()
-    W = state.w[None, :]
-    f, lam, resid, g, norm_g = _projected_direction(W, problem, state.rho)
-    if norm_g[0] <= 1.0:
-        return state, _certificate(problem, config, state.w, lam[0], resid[0], f[0],
-                                   EPS_KKT, state.iteration)
-    W_new, phi_new = _line_search(W, g, norm_g, problem, state.rho, state.beta)
-    new_state = IterateState(
-        w=W_new[0], f_value=objective_f(W_new[0], problem), potential=float(phi_new[0]),
-        rho=state.rho, beta=state.beta, iteration=state.iteration + 1,
-    )
-    return new_state, None
-
-
-def make_state(problem: AugmentedProblem, config: SolverConfig, w: np.ndarray) -> IterateState:
-    rho = config.rho(problem.K, problem.q)
-    return IterateState(
-        w=np.asarray(w, dtype=float),
-        f_value=objective_f(w, problem),
-        potential=potential(w, problem, rho),
-        rho=rho,
-        beta=config.beta,
-    )
 
 
 def solve_potential_reduction(
@@ -407,13 +330,7 @@ def solve_potential_reduction(
     w_init = np.asarray(w_init, dtype=float)
     if np.any(w_init <= 0):
         raise ValueError("w_init must be strictly positive")
-    trace_file = open(config.trace_path, "a") if config.trace_path else None
-    try:
-        results = _solve_batch(problem, config, w_init[None, :], trace_file=trace_file)
-    finally:
-        if trace_file is not None:
-            trace_file.close()
-    res = results[0]
+    res = _solve_batch(problem, config, w_init[None, :])[0]
     return res.w, res.certificate
 
 
@@ -454,17 +371,10 @@ def multistart_solve(
     k = problem.K
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     starts = [interior_point_default(problem)]
-    lo, hi = config.init_margin, 1.0 - config.init_margin
     for _ in range(n_starts - 1):
-        xi = rng.uniform(lo, hi, size=k)
-        starts.append(interior_point_random(problem, xi, init_margin=config.init_margin))
-
-    trace_file = open(config.trace_path, "a") if config.trace_path else None
-    try:
-        results = _solve_batch(problem, config, np.asarray(starts), trace_file=trace_file)
-    finally:
-        if trace_file is not None:
-            trace_file.close()
+        xi = rng.uniform(INIT_MARGIN, 1.0 - INIT_MARGIN, size=k)
+        starts.append(interior_point_random(problem, xi))
+    results = _solve_batch(problem, config, np.asarray(starts))
 
     best = None
     best_key = None

@@ -4,6 +4,7 @@ Criteria 5-8 and 10 are statistical; their bounds are wide enough that a
 failure indicates a systematic defect, not sampling noise.
 """
 
+import json
 import sys
 import time
 
@@ -38,17 +39,18 @@ def _summary_value(summary, metric, **keys):
 
 # ---------------------------------------------------------------------------
 # Shared corpus for the per-iteration criteria (3 and 4): 50 seeded random
-# instances spanning K in 3..10 and q in {0.3, 0.5, 1}, solved step by step
-# so every intermediate potential value is observable, plus a few multistart
-# runs and two near-zero-objective instances that terminate eps-optimal.
+# instances spanning K in 3..10 and q in {0.3, 0.5, 1}, each solved with a
+# JSON-lines trace so every intermediate potential value is observable, plus
+# a few multistart runs and two near-zero-objective instances that terminate
+# eps-optimal.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def corpus():
+def corpus(tmp_path_factory):
     runs = []
     certificates = []
-    config = kernel.SolverConfig(epsilon=1e-3)
+    trace_dir = tmp_path_factory.mktemp("traces")
     q_grid = [0.3, 0.5, 1.0]
     for i in range(50):
         K = 3 + i % 8
@@ -56,19 +58,13 @@ def corpus():
         prob = random_problem(K, 1000 + i)
         prob = prob.with_alpha(select_alpha(prob))
         aug = kernel.augment(prob, q=q)
-        state = kernel.make_state(aug, config, kernel.interior_point_default(aug))
-        potentials = [state.potential]
-        cert = None
-        cap = config.iter_cap(K, q)
-        for _ in range(cap + 1):
-            state, cert = kernel.reduction_step(state, aug, config)
-            if cert is not None:
-                break
-            potentials.append(state.potential)
-        runs.append({"K": K, "q": q, "potentials": potentials, "cap": cap,
-                     "iterations": state.iteration, "cert": cert})
-        if cert is not None:
-            certificates.append((cert, state.w, aug))
+        path = trace_dir / f"run_{i}.jsonl"
+        config = kernel.SolverConfig(epsilon=1e-3, trace_path=str(path))
+        w, cert = kernel.solve_potential_reduction(aug, config, kernel.interior_point_default(aug))
+        potentials = [json.loads(line)["phi"] for line in path.read_text().splitlines()]
+        runs.append({"K": K, "q": q, "potentials": potentials, "cap": config.iter_cap(K, q),
+                     "iterations": cert.iterations, "cert": cert})
+        certificates.append((cert, w, aug))
 
     ms_config = kernel.SolverConfig(epsilon=1e-4)
     for i in range(10):

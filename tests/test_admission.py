@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jpac import kernel
 from jpac.admission import (
@@ -15,8 +16,9 @@ from jpac.admission import (
     run_lqmd,
     run_nlpd,
 )
-from jpac.network import NormalizedProblem, select_alpha
+from jpac.network import NormalizedProblem, normalize, select_alpha, sinr
 from jpac.oracle import enumerate_l0
+from jpac.scenario import ScenarioConfig, generate
 
 from conftest import random_problem
 
@@ -247,3 +249,19 @@ class TestDeflationInvariants:
         doc = json.loads(res.to_json())
         assert doc["admitted"] == res.admitted
         assert doc["powers_mw"] == pytest.approx((res.powers_w * 1e3).tolist())
+
+
+class TestDeflationProperties:
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(3, 12))
+    def test_admitted_sets_admissible_and_meet_sinr_targets(self, seed, K):
+        instance = generate(ScenarioConfig(K=K, seed=seed))
+        prob = normalize(instance)
+        config = kernel.SolverConfig(epsilon=1e-6)
+        for res in (run_nlpd(prob.with_alpha(select_alpha(prob)), config),
+                    run_lqmd(prob, q=0.5, n_starts=3, config=config, seed=seed)):
+            S = res.admitted
+            assert admissible(prob, S) is not None
+            p = np.zeros(K)
+            p[S] = res.powers_w
+            assert np.all(sinr(instance, p)[S] >= instance.sinr_targets[S] * (1.0 - 1e-9))

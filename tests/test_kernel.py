@@ -60,36 +60,31 @@ class TestObjectiveGradient:
             A_tilde=_single_link_aug(q=1.0).A_tilde, b_tilde=np.ones(2),
             c_tilde=np.zeros(1), q=1.0, K=1,
         )
-        w = np.ones(3)
-        assert kernel.objective_f(w, aug) == pytest.approx(1.0)
-        assert kernel.gradient_f(w, aug) == pytest.approx([0.0, 1.0, 0.0])
+        W = np.ones((1, 3))
+        assert kernel._batch_objective(W, aug)[0] == pytest.approx(1.0)
+        assert kernel._batch_gradient(W, aug)[0] == pytest.approx([0.0, 1.0, 0.0])
 
     def test_power_rule(self):
         aug = kernel.AugmentedProblem(
             A_tilde=_single_link_aug().A_tilde, b_tilde=np.ones(2),
             c_tilde=np.zeros(1), q=0.5, K=1,
         )
-        w = np.array([1.0, 4.0, 1.0])
-        assert kernel.objective_f(w, aug) == pytest.approx(2.0)
-        assert kernel.gradient_f(w, aug)[1] == pytest.approx(0.25)
+        W = np.array([[1.0, 4.0, 1.0]])
+        assert kernel._batch_objective(W, aug)[0] == pytest.approx(2.0)
+        assert kernel._batch_gradient(W, aug)[0, 1] == pytest.approx(0.25)
 
     def test_gradient_matches_finite_differences(self, aug3):
         rng = np.random.default_rng(5)
         h = 1e-6
         for _ in range(10):
             w = rng.uniform(0.2, 1.5, size=9)
-            grad = kernel.gradient_f(w, aug3)
+            grad = kernel._batch_gradient(w[None, :], aug3)[0]
             for n in range(9):
                 e = np.zeros(9)
                 e[n] = h
-                fd = (kernel.objective_f(w + e, aug3) - kernel.objective_f(w - e, aug3)) / (2 * h)
+                fd = (kernel._batch_objective((w + e)[None, :], aug3)[0]
+                      - kernel._batch_objective((w - e)[None, :], aug3)[0]) / (2 * h)
                 assert grad[n] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-    def test_boundary_rejected(self, aug3):
-        w = np.ones(9)
-        w[4] = 0.0
-        with pytest.raises(ValueError):
-            kernel.gradient_f(w, aug3)
 
 
 class TestPotential:
@@ -98,7 +93,7 @@ class TestPotential:
             A_tilde=_single_link_aug(q=1.0).A_tilde, b_tilde=np.ones(2),
             c_tilde=np.zeros(1), q=1.0, K=1,
         )
-        assert kernel.potential(np.ones(3), aug, rho=37.0) == 0.0
+        assert kernel._batch_potential(np.ones((1, 3)), aug, rho=37.0)[0] == 0.0
 
     def test_matches_duplicate_formula(self, aug3):
         rng = np.random.default_rng(8)
@@ -107,13 +102,7 @@ class TestPotential:
             rho = rng.uniform(10.0, 1e5)
             f = float(aug3.c_tilde @ w[:3] + np.sum(w[3:6] ** 0.5))
             expected = rho * math.log(f) - float(np.sum(np.log(w)))
-            assert kernel.potential(w, aug3, rho) == pytest.approx(expected, rel=1e-12)
-
-    def test_boundary_rejected(self, aug3):
-        w = np.ones(9)
-        w[0] = 0.0
-        with pytest.raises(ValueError):
-            kernel.potential(w, aug3, 100.0)
+            assert kernel._batch_potential(w[None, :], aug3, rho)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestInteriorPoints:
@@ -163,67 +152,50 @@ class TestReductionStep:
         # The radius-beta step along the projected direction, computed by
         # hand, is one of the line-search candidates.
         config = kernel.SolverConfig()
+        rho = config.rho(aug3.K, aug3.q)
         w = kernel.interior_point_default(aug3)
-        state = kernel.make_state(aug3, config, w)
-        f = kernel.objective_f(w, aug3)
-        grad = kernel.gradient_f(w, aug3)
+        f = kernel._batch_objective(w[None, :], aug3)[0]
+        grad = kernel._batch_gradient(w[None, :], aug3)[0]
         AW = aug3.A_tilde * w[None, :]
-        lam = np.linalg.solve(AW @ AW.T, AW @ (w * grad - f / state.rho))
-        g = 1.0 - (state.rho / f) * w * (grad - aug3.A_tilde.T @ lam)
-        w_beta = w * (1.0 + (config.beta / np.linalg.norm(g)) * g)
-        phi_beta = kernel.potential(w_beta, aug3, state.rho)
+        lam = np.linalg.solve(AW @ AW.T, AW @ (w * grad - f / rho))
+        g = 1.0 - (rho / f) * w * (grad - aug3.A_tilde.T @ lam)
+        w_beta = w * (1.0 + (kernel.STEP_BETA / np.linalg.norm(g)) * g)
+        phi_beta = kernel._batch_potential(w_beta[None, :], aug3, rho)[0]
 
-        new, cert = kernel.reduction_step(state, aug3, config)
-        assert cert is None
-        assert kernel.potential(new.w, aug3, state.rho) <= phi_beta + 1e-12
-        assert np.all(new.w > 0.0)
-        assert np.max(np.abs(aug3.A_tilde @ new.w - aug3.b_tilde)) <= 1e-10
+        new, cert = kernel.solve_potential_reduction(aug3, kernel.SolverConfig(iter_cap_abs=1), w)
+        assert cert.termination == kernel.ITERATION_CAP and cert.iterations == 1
+        assert kernel._batch_potential(new[None, :], aug3, rho)[0] <= phi_beta + 1e-12
+        assert np.all(new > 0.0)
+        assert np.max(np.abs(aug3.A_tilde @ new - aug3.b_tilde)) <= 1e-10
 
-    def test_potential_decrease_and_feasibility(self):
-        config = kernel.SolverConfig(epsilon=1e-3)
+    def test_potential_decrease_and_feasibility(self, tmp_path):
         for seed in range(5):
             prob = random_problem(5, seed)
             prob = prob.with_alpha(0.2 * prob.alpha1)
             aug = kernel.augment(prob, q=0.5)
-            state = kernel.make_state(aug, config, kernel.interior_point_default(aug))
-            for _ in range(200):
-                new, cert = kernel.reduction_step(state, aug, config)
-                if cert is not None:
-                    break
-                assert new.potential <= state.potential - kernel.MIN_POTENTIAL_DECREASE + 1e-9
-                assert np.max(np.abs(aug.A_tilde @ new.w - aug.b_tilde)) <= 1e-10
-                assert np.all(new.w > 0.0)
-                state = new
+            w0 = kernel.interior_point_default(aug)
+            path = tmp_path / f"trace_{seed}.jsonl"
+            config = kernel.SolverConfig(epsilon=1e-3, trace_path=str(path))
+            _, cert = kernel.solve_potential_reduction(aug, config, w0)
+            phis = [json.loads(line)["phi"] for line in path.read_text().splitlines()]
+            for a, b in zip(phis, phis[1:]):
+                assert b <= a - kernel.MIN_POTENTIAL_DECREASE + 1e-9
+            # The iterate after j steps is the one returned at an iteration cap of j.
+            for j in range(1, cert.iterations + 1):
+                capped = kernel.SolverConfig(epsilon=1e-3, iter_cap_abs=j)
+                w, _ = kernel.solve_potential_reduction(aug, capped, w0)
+                assert np.max(np.abs(aug.A_tilde @ w - aug.b_tilde)) <= 1e-10
+                assert np.all(w > 0.0)
 
     def test_converged_component_bounds(self, aug3):
         # At an eps-KKT return, (rho/f) w o (grad f - A~^T lam) lies in [0, 2].
         config = kernel.SolverConfig(epsilon=1e-3)
-        state = kernel.make_state(aug3, config, kernel.interior_point_default(aug3))
-        cert = None
-        for _ in range(5000):
-            state, cert = kernel.reduction_step(state, aug3, config)
-            if cert is not None:
-                break
-        assert cert is not None and cert.termination == kernel.EPS_KKT
-        resid = kernel.gradient_f(state.w, aug3) - aug3.A_tilde.T @ cert.lam
-        scaled = (state.rho / cert.f_value) * state.w * resid
+        w, cert = kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))
+        assert cert.termination == kernel.EPS_KKT
+        resid = kernel._batch_gradient(w[None, :], aug3)[0] - aug3.A_tilde.T @ cert.lam
+        scaled = (config.rho(aug3.K, aug3.q) / cert.f_value) * w * resid
         assert np.all(scaled >= -1e-8)
         assert np.all(scaled <= 2.0 + 1e-8)
-
-    def test_step_path_matches_batched_solver(self, aug3):
-        config = kernel.SolverConfig(epsilon=1e-3)
-        w0 = kernel.interior_point_default(aug3)
-        w_batch, cert_batch = kernel.solve_potential_reduction(aug3, config, w0)
-        state = kernel.make_state(aug3, config, w0)
-        cert = None
-        for _ in range(cert_batch.iterations + 1):
-            state, cert = kernel.reduction_step(state, aug3, config)
-            if cert is not None:
-                break
-        assert cert is not None
-        assert state.w == pytest.approx(w_batch, rel=1e-12)
-        assert cert.iterations == cert_batch.iterations
-        assert cert.comp_gap == pytest.approx(cert_batch.comp_gap, rel=1e-9)
 
 
 class TestSolve:
@@ -358,7 +330,5 @@ class TestConfig:
         assert kernel.SolverConfig(epsilon=1e-6).iter_cap(5, 0.5) == 100_000
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            kernel.SolverConfig(beta=1.0)
         with pytest.raises(ValueError):
             kernel.SolverConfig(epsilon=0.0)
