@@ -101,34 +101,39 @@ def foschini_miljanic(
     raise RuntimeError("fixed-point iteration did not converge (set numerically marginal)")
 
 
-def necessary_condition(problem: NormalizedProblem) -> bool:
-    """Easy-to-check necessary condition for all links to be supportable."""
-    mu = problem.A.T @ np.ones(problem.K)
+def _necessary(A: np.ndarray, b: np.ndarray) -> bool:
+    mu = A.T @ np.ones(b.size)
     mu_pos = np.maximum(mu, 0.0)
     mu_neg = np.maximum(-mu, 0.0)
-    return float(np.sum(mu_pos) - (mu_neg + 1.0) @ problem.b) >= 0.0
+    return float(np.sum(mu_pos) - (mu_neg + 1.0) @ b) >= 0.0
 
 
-def _preprocess_scores(problem: NormalizedProblem) -> np.ndarray:
-    absA = np.abs(problem.A)
+def necessary_condition(problem: NormalizedProblem) -> bool:
+    """Easy-to-check necessary condition for all links to be supportable."""
+    return _necessary(problem.A, problem.b)
+
+
+def _preprocess_scores(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    absA = np.abs(A)
     np.fill_diagonal(absA, 0.0)
-    return absA.sum(axis=1) + absA.sum(axis=0) + problem.b
+    return absA.sum(axis=1) + absA.sum(axis=0) + b
 
 
 def preprocess(problem: NormalizedProblem) -> tuple[NormalizedProblem, list[int]]:
     """Iteratively drop the heaviest interferer until the necessary condition holds.
 
     Removed entries are positions of the *input* problem; the last remaining
-    link is never removed.  Ties go to the smallest index.
+    link is never removed.  Ties go to the smallest index.  The loop works on
+    slices of A and b; the remaining links are restricted once at the end.
     """
     keep = list(range(problem.K))
     removed: list[int] = []
-    current = problem
-    while len(keep) >= 2 and not necessary_condition(current):
-        k0 = int(np.argmax(_preprocess_scores(current)))  # argmax takes the first maximum
+    A, b = problem.A, problem.b
+    while len(keep) >= 2 and not _necessary(A, b):
+        k0 = int(np.argmax(_preprocess_scores(A, b)))  # argmax takes the first maximum
         removed.append(keep.pop(k0))
-        current = restrict(problem, keep)
-    return current, removed
+        A, b = problem.A[np.ix_(keep, keep)], problem.b[keep]
+    return (restrict(problem, keep) if removed else problem), removed
 
 
 def removal_candidate(problem: NormalizedProblem, x) -> int:
@@ -169,15 +174,13 @@ def _deflate(
     removal_trace: list[dict] = []
     stats = {"solver_calls": 0, "total_iterations": 0}
 
-    current_pos, removed_pre = preprocess(base)
+    _, removed_pre = preprocess(base)
     keep = [i for i in range(base.K) if i not in set(removed_pre)]
     for pos in removed_pre:
         removal_trace.append({"link": int(base.link_ids[pos]), "stage": "preprocess"})
 
     round_idx = 0
-    while True:
-        if admissible(base, keep) is not None:
-            break
+    while keep and admissible(base, keep) is None:
         sub = restrict(base, keep)
         if reselect_alpha:
             sub = sub.with_alpha(select_alpha(sub))
@@ -199,8 +202,10 @@ def _deflate(
     final = postprocess(base, keep, removed_positions)
     readmitted = sorted(int(base.link_ids[p]) for p in set(final) - set(keep))
 
-    x_full = min_power_allocation(base, final)
-    powers_w = x_full[final] * base.budgets[final]
+    if final:
+        powers_w = min_power_allocation(base, final)[final] * base.budgets[final]
+    else:  # no link is admissible, even alone
+        powers_w = np.zeros(0)
     return AdmissionResult(
         admitted=sorted(int(base.link_ids[p]) for p in final),
         powers_w=powers_w,

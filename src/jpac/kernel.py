@@ -7,7 +7,16 @@ The box-constrained lq objective over x is rewritten with slack variables as
 with w = (w1; w2; w3) = (powers; residual slacks; budget slacks) and the
 2K x 3K block matrix A~ = [[A, I, 0], [I, 0, I]].  Each iteration solves a
 projection problem in the space scaled by W = Diag(w) for the projected
-scaled gradient g, then line-searches the potential
+scaled gradient g.  Its normal equations A~ W^2 A~^T lambda = r, with
+r = (r1; r2) = A~ W (W grad f - f / rho), have the blocks
+[[A D1 A^T + D2, A D1], [D1 A^T, D1 + D3]] with D_i = Diag(d_i), d_i = w_i^2,
+so the second block row is eliminated exactly: lambda_1 solves the K x K SPD
+Schur system
+
+    (A Diag(d1 d3 / (d1 + d3)) A^T + D2) lambda_1 = r1 - A (d1 / (d1 + d3) o r2)
+
+by Cholesky, and lambda_2 = (r2 - d1 o A^T lambda_1) / (d1 + d3).  The
+iteration then line-searches the potential
 
     phi(w) = rho * log f(w) - sum_n log w_n
 
@@ -64,6 +73,10 @@ class AugmentedProblem:
             raise ValueError("q must lie in (0, 1]")
         if self.A_tilde.shape != (2 * self.K, 3 * self.K):
             raise ValueError("A_tilde must be 2K x 3K")
+        # The projection eliminates the identity blocks; it is wrong for any other A~.
+        if not (np.array_equal(self.A_tilde[:, self.K :], np.eye(2 * self.K))
+                and np.array_equal(self.A_tilde[self.K :, : self.K], np.eye(self.K))):
+            raise ValueError("A_tilde must have the blocks [[A, I, 0], [I, 0, I]]")
         if np.any(self.b_tilde <= 0):
             raise ValueError("b_tilde must be strictly positive")
 
@@ -84,6 +97,8 @@ class KktCertificate:
     comp_gap is w^T (grad f - A~^T lambda) / f(w).  gap_literal records the
     sum_n (q w_n^q - [A~^T lambda]_n w_n) / f(w) variant for comparison (the
     two differ on the w1 block, whose gradient is c~ rather than q w^q).
+    ridge_retries counts the ridge retries of the start's normal solves; a
+    retry on a lockstep batch counts for every start in that batch.
     """
 
     lam: np.ndarray
@@ -94,6 +109,7 @@ class KktCertificate:
     f_value: float
     gap_literal: float = float("nan")
     iterations: int = 0
+    ridge_retries: int = 0
 
 
 @dataclass(frozen=True)
@@ -173,8 +189,12 @@ def _batch_potential(W: np.ndarray, problem: AugmentedProblem, rho: float) -> np
     return rho * np.log(_batch_objective(W, problem)) - np.sum(np.log(W), axis=-1)
 
 
-def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve of the batched SPD normal systems, with ridge retries."""
+def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cholesky solve of the batched SPD systems, with ridge retries.
+
+    Returns the solutions and the number of ridge retries the factorization
+    needed (0 when the systems factor as given).
+    """
     m = normal.shape[-1]
     ridge = np.trace(normal, axis1=-2, axis2=-1) / m * 1e-12
     for attempt in range(4):
@@ -186,26 +206,42 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             normal = normal + ridge[..., None, None] * np.eye(m)
             continue
         y = np.linalg.solve(L, rhs[..., None])
-        return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
+        return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0], attempt
+
+
+def _a_tilde_t(problem: AugmentedProblem, lam: np.ndarray) -> np.ndarray:
+    """A~^T lambda = (A^T lam1 + lam2; lam1; lam2) for lambda = (lam1; lam2), batched."""
+    lam1, lam2 = lam[..., : problem.K], lam[..., problem.K :]
+    return np.concatenate([lam1 @ problem.A + lam2, lam1, lam2], axis=-1)
 
 
 def _projected_direction(W: np.ndarray, problem: AugmentedProblem, rho: float):
-    """Objective, multipliers, reduced gradient and scaled direction g per row of W.
+    """Objective, multipliers, reduced gradient, direction g and ridge retries per row of W.
 
     g = e - (rho / f) W (grad f - A~^T lambda) is the projection of the
-    scaled potential gradient onto the null space of A~ W, so A~ W g = 0.
+    scaled potential gradient onto the null space of A~ W, so A~ W g = 0;
+    lambda comes from the K x K Schur system of the module docstring.
     """
-    At = problem.A_tilde
+    k = problem.K
+    A = problem.A
     f = _batch_objective(W, problem)
     grad = _batch_gradient(W, problem)
 
-    M = At[None, :, :] * W[:, None, :]                  # A~ W, (N, 2K, 3K)
-    normal = M @ np.swapaxes(M, 1, 2)                    # A~ W^2 A~^T
-    rhs = np.einsum("nij,nj->ni", M, W * grad - (f / rho)[:, None])
-    lam = _solve_normal(normal, rhs)
-    resid = grad - np.einsum("ij,nj->ni", At.T, lam)     # grad f - A~^T lambda
+    d = W * W
+    d1, d2, d3 = d[:, :k], d[:, k : 2 * k], d[:, 2 * k :]
+    v = d * grad - W * (f / rho)[:, None]                # W (W grad f - f / rho)
+    v1 = v[:, :k]
+    r2 = v1 + v[:, 2 * k :]
+    d13 = d1 + d3
+    S = (A * (d1 * d3 / d13)[:, None, :]) @ A.T          # A Diag(d1 d3 / (d1 + d3)) A^T
+    np.einsum("nii->ni", S)[...] += d2                   # + D2
+    # r1 - A (d1 / (d1 + d3) o r2) with r1 = A v1 + v2
+    lam1, retries = _solve_normal(S, (v1 - d1 / d13 * r2) @ A.T + v[:, k : 2 * k])
+    lam2 = (r2 - d1 * (lam1 @ A)) / d13
+    lam = np.concatenate([lam1, lam2], axis=1)
+    resid = grad - _a_tilde_t(problem, lam)              # grad f - A~^T lambda
     g = 1.0 - (rho / f)[:, None] * W * resid
-    return f, lam, resid, g, np.linalg.norm(g, axis=1)
+    return f, lam, resid, g, np.linalg.norm(g, axis=1), retries
 
 
 def _line_search(
@@ -234,7 +270,7 @@ def _line_search(
 
 def _certificate(
     problem: AugmentedProblem, config: SolverConfig, w: np.ndarray, lam: np.ndarray,
-    resid: np.ndarray, f_val: float, termination: str, iterations: int,
+    resid: np.ndarray, f_val: float, termination: str, iterations: int, ridge_retries: int,
 ) -> KktCertificate:
     k = problem.K
     w2q = np.zeros_like(w)
@@ -246,8 +282,9 @@ def _certificate(
         epsilon=config.epsilon,
         termination=termination,
         f_value=float(f_val),
-        gap_literal=float(np.sum(w2q - (problem.A_tilde.T @ lam) * w) / f_val),
+        gap_literal=float(np.sum(w2q - _a_tilde_t(problem, lam) * w) / f_val),
         iterations=int(iterations),
+        ridge_retries=int(ridge_retries),
     )
 
 
@@ -274,12 +311,13 @@ def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray
     active = np.arange(n_starts)
     results: list[_StartResult | None] = [None] * n_starts
     iters = np.zeros(n_starts, dtype=int)
+    retries = np.zeros(n_starts, dtype=int)
 
     def finalize(row, termination):
         idx = active[row]
         w = Wa[row].copy()
         results[idx] = _StartResult(w=w, certificate=_certificate(
-            problem, config, w, lam[row], resid[row], f[row], termination, iters[idx]))
+            problem, config, w, lam[row], resid[row], f[row], termination, iters[idx], retries[idx]))
 
     trace = open(config.trace_path, "a") if config.trace_path else contextlib.nullcontext()
     with trace as trace_file:
@@ -287,7 +325,8 @@ def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray
             if active.size == 0:
                 break
             Wa = W[active]
-            f, lam, resid, g, norm_g = _projected_direction(Wa, problem, rho)
+            f, lam, resid, g, norm_g, step_retries = _projected_direction(Wa, problem, rho)
+            retries[active] += step_retries
             phi = rho * np.log(f) - np.sum(np.log(Wa), axis=1)
 
             if trace_file is not None:

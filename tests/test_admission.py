@@ -179,12 +179,25 @@ class TestRunNlpd:
         with pytest.raises(ValueError):
             run_nlpd(three_link_no_alpha)
 
+    def test_no_admissible_link(self):
+        # A single link whose target needs more than its budget (b > 1).
+        result = run_nlpd(NormalizedProblem(A=[[1.0]], b=[2.0], budgets=[1.0], alpha=0.1))
+        assert result.admitted == [] and result.readmitted == []
+        assert result.powers_w.shape == (0,)
+        assert result.removal_trace == [{"link": 0, "stage": "deflate", "round": 0}]
+
 
 class TestRunLqmd:
     def test_three_link_end_to_end(self, three_link_no_alpha):
         result = run_lqmd(three_link_no_alpha, q=0.5, n_starts=20)
         assert result.admitted == [0, 1]
         assert result.powers_w == pytest.approx([0.5, 0.5])
+
+    def test_no_admissible_link(self):
+        result = run_lqmd(NormalizedProblem(A=[[1.0]], b=[2.0], budgets=[1.0]), q=0.5, n_starts=3)
+        assert result.admitted == [] and result.readmitted == []
+        assert result.powers_w.shape == (0,)
+        assert result.removal_trace == [{"link": 0, "stage": "deflate", "round": 0}]
 
     def test_invalid_parameters(self, three_link_no_alpha):
         with pytest.raises(ValueError):

@@ -47,6 +47,14 @@ class TestAugment:
         with pytest.raises(ValueError):
             kernel.augment(three_link_no_alpha)
 
+    def test_rejects_unstructured_a_tilde(self, aug3):
+        for row, col in ((0, 3), (1, 7), (4, 1), (5, 0)):
+            A_tilde = aug3.A_tilde.copy()
+            A_tilde[row, col] += 0.5
+            with pytest.raises(ValueError):
+                kernel.AugmentedProblem(A_tilde=A_tilde, b_tilde=aug3.b_tilde,
+                                        c_tilde=aug3.c_tilde, q=aug3.q, K=aug3.K)
+
     def test_invalid_q(self, three_link):
         with pytest.raises(ValueError):
             kernel.augment(three_link, q=0.0)
@@ -196,6 +204,68 @@ class TestReductionStep:
         scaled = (config.rho(aug3.K, aug3.q) / cert.f_value) * w * resid
         assert np.all(scaled >= -1e-8)
         assert np.all(scaled <= 2.0 + 1e-8)
+
+
+class TestProjectedDirection:
+    def test_matches_lstsq_projection(self):
+        # Reference: the residual of the SVD least-squares fit of u by the
+        # rows of A~ W is the projection of u onto the null space of A~ W.
+        # A backward-stable least-squares solve errs by O(kappa(A~ W) eps ||u||);
+        # 100 covers the dimension factors.
+        rng = np.random.default_rng(4)
+        eps = np.finfo(float).eps
+        for case in range(24):
+            K = int(rng.integers(3, 41))
+            q = (0.1, 0.5, 1.0)[case % 3]
+            prob = random_problem(K, 5000 + case)
+            aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
+            W = rng.lognormal(0.0, 3.0, size=(1 if case % 2 else 5, 3 * K))
+            rho = kernel.SolverConfig().rho(K, q)
+            f, _, _, g, _, _ = kernel._projected_direction(W, aug, rho)
+            grad = kernel._batch_gradient(W, aug)
+            for n in range(W.shape[0]):
+                M = aug.A_tilde * W[n]
+                u = 1.0 - (rho / f[n]) * W[n] * grad[n]
+                y = np.linalg.lstsq(M.T, u, rcond=None)[0]
+                bound = 100.0 * np.linalg.cond(M) * eps * np.linalg.norm(u)
+                assert np.linalg.norm(g[n] - (u - M.T @ y)) <= bound
+                # A step w o (1 + t g) moves A~ w by t A~ W g.
+                drift = np.linalg.norm(M @ g[n])
+                assert drift <= 1e-5 * np.linalg.norm(aug.A_tilde, 2) * np.linalg.norm(W[n] * g[n])
+
+
+class TestSolveNormal:
+    def test_ridge_retry_on_singular_row(self):
+        # A zero row and column make the second system singular, so the
+        # batch fails to factor and is retried with a ridge on every system.
+        rng = np.random.default_rng(0)
+        B = rng.standard_normal((4, 4))
+        S = np.stack([B @ B.T + np.eye(4), np.diag([2.0, 0.0, 3.0, 1.0])])
+        rhs = rng.standard_normal((2, 4))
+        sol, retries = kernel._solve_normal(S, rhs)
+        assert retries == 1
+        assert sol[0] == pytest.approx(np.linalg.solve(S[0], rhs[0]), rel=1e-9)
+        ridge = np.trace(S[1]) / 4 * 1e-12
+        assert sol[1] == pytest.approx(np.linalg.solve(S[1] + ridge * np.eye(4), rhs[1]), rel=1e-9)
+
+    def test_retries_reach_certificates(self, aug3, monkeypatch):
+        # Fail the first factorization of the solve; every start in that
+        # lockstep batch is charged one retry, later steps none.
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def failing_once(a):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        config = kernel.SolverConfig(epsilon=1e-4)
+        clean = kernel.multistart_solve(aug3, config, n_starts=3, seed=0)
+        assert [c.ridge_retries for c in clean.certificates] == [0, 0, 0]
+        monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+        res = kernel.multistart_solve(aug3, config, n_starts=3, seed=0)
+        assert [c.ridge_retries for c in res.certificates] == [1, 1, 1]
 
 
 class TestSolve:
