@@ -119,13 +119,8 @@ def _preprocess_scores(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return absA.sum(axis=1) + absA.sum(axis=0) + b
 
 
-def preprocess(problem: NormalizedProblem) -> tuple[NormalizedProblem, list[int]]:
-    """Iteratively drop the heaviest interferer until the necessary condition holds.
-
-    Removed entries are positions of the *input* problem; the last remaining
-    link is never removed.  Ties go to the smallest index.  The loop works on
-    slices of A and b; the remaining links are restricted once at the end.
-    """
+def _preprocess_positions(problem: NormalizedProblem) -> tuple[list[int], list[int]]:
+    """Kept and removed positions of the preprocess loop (see preprocess)."""
     keep = list(range(problem.K))
     removed: list[int] = []
     A, b = problem.A, problem.b
@@ -133,6 +128,17 @@ def preprocess(problem: NormalizedProblem) -> tuple[NormalizedProblem, list[int]
         k0 = int(np.argmax(_preprocess_scores(A, b)))  # argmax takes the first maximum
         removed.append(keep.pop(k0))
         A, b = problem.A[np.ix_(keep, keep)], problem.b[keep]
+    return keep, removed
+
+
+def preprocess(problem: NormalizedProblem) -> tuple[NormalizedProblem, list[int]]:
+    """Iteratively drop the heaviest interferer until the necessary condition holds.
+
+    Removed entries are positions of the *input* problem; the last remaining
+    link is never removed.  Ties go to the smallest index.  The loop works on
+    slices of A and b; the remaining links are restricted once at the end.
+    """
+    keep, removed = _preprocess_positions(problem)
     return (restrict(problem, keep) if removed else problem), removed
 
 
@@ -172,10 +178,11 @@ def _deflate(
     """Shared NLPD / LQMD skeleton on a problem whose alpha is already set."""
     base = problem
     removal_trace: list[dict] = []
-    stats = {"solver_calls": 0, "total_iterations": 0}
+    # ridge_retries sums KktCertificate.ridge_retries over every start;
+    # terminations counts the starts per termination string.
+    stats = {"solver_calls": 0, "total_iterations": 0, "ridge_retries": 0, "terminations": {}}
 
-    _, removed_pre = preprocess(base)
-    keep = [i for i in range(base.K) if i not in set(removed_pre)]
+    keep, removed_pre = _preprocess_positions(base)
     for pos in removed_pre:
         removal_trace.append({"link": int(base.link_ids[pos]), "stage": "preprocess"})
 
@@ -187,6 +194,9 @@ def _deflate(
         res = kernel.multistart_solve(kernel.augment(sub, q=q), config, n_starts, seed + round_idx)
         stats["solver_calls"] += n_starts
         stats["total_iterations"] += res.total_iterations
+        for cert in res.certificates:
+            stats["ridge_retries"] += cert.ridge_retries
+            stats["terminations"][cert.termination] = stats["terminations"].get(cert.termination, 0) + 1
         k0 = removal_candidate(sub, res.x)
         removal_trace.append({
             "link": int(sub.link_ids[k0]),

@@ -15,7 +15,9 @@ Schur system
 
     (A Diag(d1 d3 / (d1 + d3)) A^T + D2) lambda_1 = r1 - A (d1 / (d1 + d3) o r2)
 
-by Cholesky, and lambda_2 = (r2 - d1 o A^T lambda_1) / (d1 + d3).  The
+and lambda_2 = (r2 - d1 o A^T lambda_1) / (d1 + d3).  A Cholesky factorization
+serves as the definiteness test (a failure triggers a ridge retry) and the
+system itself is solved by one LU solve, numpy having no triangular solve.  The
 iteration then line-searches the potential
 
     phi(w) = rho * log f(w) - sum_n log w_n
@@ -28,7 +30,10 @@ the eps-optimality threshold or the projected direction has norm <= 1,
 which certifies an eps-KKT point.
 
 All starts advance in lockstep through one batched core; a single solve is
-that core on a batch of one, so every caller runs the same arithmetic.
+that core on a batch of one, so every caller runs the same arithmetic.  The
+line search hands the objective and potential of the chosen step to the next
+iteration, and a start that stops leaves the batch, so each step works on the
+active starts only.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ UNDERFLOW = "underflow"
 STEP_BETA = 1.0 - math.sqrt(3.0) / 3.0
 # Line-search step lengths as fractions of the distance to the boundary,
 # tried next to the guaranteed step beta / ||g||.
-LINE_SEARCH_FRACTIONS = (0.3, 0.5, 0.7, 0.9, 0.99)
+LINE_SEARCH_FRACTIONS = np.array([0.3, 0.5, 0.7, 0.9, 0.99])
 # beta - beta^2 / (2 (1 - beta)) at beta = STEP_BETA.
 MIN_POTENTIAL_DECREASE = 2.0 - math.sqrt(3.0)
 ITER_CAP_FACTOR = 10.0
@@ -177,6 +182,7 @@ def _batch_objective(W: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
 
 
 def _batch_gradient(W: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
+    """Full gradient (c~; q w2^(q-1); 0) of f; the iteration uses its blocks directly."""
     k = problem.K
     grad = np.empty_like(W)
     grad[:, :k] = problem.c_tilde
@@ -190,23 +196,26 @@ def _batch_potential(W: np.ndarray, problem: AugmentedProblem, rho: float) -> np
 
 
 def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cholesky solve of the batched SPD systems, with ridge retries.
+    """Solve the batched SPD systems normal x = rhs, with ridge retries.
 
-    Returns the solutions and the number of ridge retries the factorization
-    needed (0 when the systems factor as given).
+    np.linalg.cholesky is the definiteness test, and the systems are then
+    solved by one LU solve (numpy has no triangular solve to reuse the
+    factor with).  While any system fails the test, or hits an exactly zero
+    LU pivot (possible once the condition number nears 1 / eps), every system
+    gets a ridge of trace / m * 1e-12 and is tried again, at most 3 times.
+    Returns the solutions and the number of ridge retries (0 when the
+    systems solve as given).
     """
-    m = normal.shape[-1]
-    ridge = np.trace(normal, axis1=-2, axis2=-1) / m * 1e-12
     for attempt in range(4):
         try:
-            L = np.linalg.cholesky(normal)
+            np.linalg.cholesky(normal)
+            return np.linalg.solve(normal, rhs[..., None])[..., 0], attempt
         except np.linalg.LinAlgError:
             if attempt == 3:
                 raise
+            m = normal.shape[-1]
+            ridge = np.trace(normal, axis1=-2, axis2=-1) / m * 1e-12
             normal = normal + ridge[..., None, None] * np.eye(m)
-            continue
-        y = np.linalg.solve(L, rhs[..., None])
-        return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0], attempt
 
 
 def _a_tilde_t(problem: AugmentedProblem, lam: np.ndarray) -> np.ndarray:
@@ -215,57 +224,68 @@ def _a_tilde_t(problem: AugmentedProblem, lam: np.ndarray) -> np.ndarray:
     return np.concatenate([lam1 @ problem.A + lam2, lam1, lam2], axis=-1)
 
 
-def _projected_direction(W: np.ndarray, problem: AugmentedProblem, rho: float):
-    """Objective, multipliers, reduced gradient, direction g and ridge retries per row of W.
+def _projected_direction(W: np.ndarray, f: np.ndarray, problem: AugmentedProblem, rho: float):
+    """Multipliers, reduced gradient, direction g, ||g|| and ridge retries per row of W.
 
-    g = e - (rho / f) W (grad f - A~^T lambda) is the projection of the
-    scaled potential gradient onto the null space of A~ W, so A~ W g = 0;
-    lambda comes from the K x K Schur system of the module docstring.
+    f holds the objective of each row.  g = e - (rho / f) W (grad f - A~^T
+    lambda) is the projection of the scaled potential gradient onto the null
+    space of A~ W, so A~ W g = 0; lambda comes from the K x K Schur system of
+    the module docstring.  The blocks w1, w2, w3 are handled apart: the
+    gradient is (c~; q w2^(q-1); 0).
     """
     k = problem.K
     A = problem.A
-    f = _batch_objective(W, problem)
-    grad = _batch_gradient(W, problem)
-
-    d = W * W
-    d1, d2, d3 = d[:, :k], d[:, k : 2 * k], d[:, 2 * k :]
-    v = d * grad - W * (f / rho)[:, None]                # W (W grad f - f / rho)
-    v1 = v[:, :k]
-    r2 = v1 + v[:, 2 * k :]
+    w1, w2, w3 = W[:, :k], W[:, k : 2 * k], W[:, 2 * k :]
+    s = (f / rho)[:, None]
+    grad2 = problem.q * w2 ** (problem.q - 1.0)
+    d1, d2, d3 = w1 * w1, w2 * w2, w3 * w3
+    v1 = d1 * problem.c_tilde - w1 * s                   # blocks of W (W grad f - f / rho)
+    r2 = v1 - w3 * s
     d13 = d1 + d3
     S = (A * (d1 * d3 / d13)[:, None, :]) @ A.T          # A Diag(d1 d3 / (d1 + d3)) A^T
     np.einsum("nii->ni", S)[...] += d2                   # + D2
     # r1 - A (d1 / (d1 + d3) o r2) with r1 = A v1 + v2
-    lam1, retries = _solve_normal(S, (v1 - d1 / d13 * r2) @ A.T + v[:, k : 2 * k])
-    lam2 = (r2 - d1 * (lam1 @ A)) / d13
-    lam = np.concatenate([lam1, lam2], axis=1)
-    resid = grad - _a_tilde_t(problem, lam)              # grad f - A~^T lambda
+    # Products with A go one row at a time (stacked matmul), so a row's
+    # arithmetic is the same in a batch of any size.
+    rhs = (A @ (v1 - d1 / d13 * r2)[:, :, None])[:, :, 0] + (d2 * grad2 - w2 * s)
+    lam1, retries = _solve_normal(S, rhs)
+    lam1_a = (lam1[:, None, :] @ A)[:, 0, :]
+    lam2 = (r2 - d1 * lam1_a) / d13
+    # grad f - A~^T lambda
+    resid = np.concatenate([problem.c_tilde - (lam1_a + lam2), grad2 - lam1, -lam2], axis=1)
     g = 1.0 - (rho / f)[:, None] * W * resid
-    return f, lam, resid, g, np.linalg.norm(g, axis=1), retries
+    norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
+    return np.concatenate([lam1, lam2], axis=1), resid, g, norm_g, retries
 
 
 def _line_search(
     W: np.ndarray, g: np.ndarray, norm_g: np.ndarray, problem: AugmentedProblem, rho: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Move each row w of W to w o (1 + t g) at the candidate t of lowest potential.
 
     The candidates are t = STEP_BETA / ||g||, whose potential drop is at least
     2 - sqrt(3) while ||g|| > 1, and LINE_SEARCH_FRACTIONS of t_max, the
     distance to the boundary of w o (1 + t g) > 0.  Every candidate keeps
-    A~ w = b~ because A~ W g = 0.
+    A~ w = b~ because A~ W g = 0.  Returns the new rows with their objective
+    and potential values.
     """
+    n = W.shape[0]
+    g_min = g.min(axis=1)
+    t = np.empty((n, 1 + LINE_SEARCH_FRACTIONS.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_max = np.min(np.where(g < 0.0, -1.0 / g, np.inf), axis=1)
-        t = np.concatenate(
-            [(STEP_BETA / norm_g)[:, None], t_max[:, None] * np.asarray(LINE_SEARCH_FRACTIONS)], axis=1)
+        t[:, 0] = STEP_BETA / norm_g
+        # t_max = min over g_n < 0 of -1 / g_n
+        t[:, 1:] = np.where(g_min < 0.0, -1.0 / g_min, np.inf)[:, None] * LINE_SEARCH_FRACTIONS
         cand = W[:, None, :] * (1.0 + t[:, :, None] * g[:, None, :])   # (N, C, 3K)
-        phi = _batch_potential(cand, problem, rho)
-    phi[~(np.isfinite(phi) & np.all(cand > 0.0, axis=2))] = np.inf
-    rows = np.arange(W.shape[0])
-    best = np.argmin(phi, axis=1)
-    if not np.all(np.isfinite(phi[rows, best])):
+        f = _batch_objective(cand, problem)
+        phi = rho * np.log(f) - np.log(cand).sum(axis=-1)
+    phi[~(np.isfinite(phi) & (cand > 0.0).all(axis=2))] = np.inf
+    rows = np.arange(n)
+    best = phi.argmin(axis=1)
+    phi = phi[rows, best]
+    if np.isinf(phi).any():
         raise RuntimeError("no step candidate keeps the iterate strictly positive")
-    return cand[rows, best]
+    return cand[rows, best], f[rows, best], phi
 
 
 def _certificate(
@@ -297,8 +317,10 @@ class _StartResult:
 def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray) -> list[_StartResult]:
     """Run the potential-reduction iteration from each row of W0.
 
-    With config.trace_path set, one JSON line per start and iteration is
-    appended to that file.
+    The batch holds the active starts only: a start that stops is written to
+    its result and its row is dropped from every per-row array.  With
+    config.trace_path set, one JSON line per start and iteration is appended
+    to that file.
     """
     n_starts = W0.shape[0]
     k = problem.K
@@ -307,57 +329,57 @@ def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray
     cap = config.iter_cap(k, q)
     threshold = (rho - k / q) * math.log(config.epsilon) + (k / q) * math.log(k) + k * math.log(4.0)
 
+    # Per active row: start index, iterate, objective and potential.  Every
+    # active start has taken the same `it` steps and the same ridge retries.
+    start = np.arange(n_starts)
     W = W0.copy()
-    active = np.arange(n_starts)
+    f = _batch_objective(W, problem)
+    phi = _batch_potential(W, problem, rho)
+    retries = 0
     results: list[_StartResult | None] = [None] * n_starts
-    iters = np.zeros(n_starts, dtype=int)
-    retries = np.zeros(n_starts, dtype=int)
 
-    def finalize(row, termination):
-        idx = active[row]
-        w = Wa[row].copy()
-        results[idx] = _StartResult(w=w, certificate=_certificate(
-            problem, config, w, lam[row], resid[row], f[row], termination, iters[idx], retries[idx]))
+    def retire(row, termination):
+        w = W[row].copy()
+        results[start[row]] = _StartResult(w=w, certificate=_certificate(
+            problem, config, w, lam[row], resid[row], f[row], termination, it, retries))
 
     trace = open(config.trace_path, "a") if config.trace_path else contextlib.nullcontext()
     with trace as trace_file:
         for it in range(cap + 1):
-            if active.size == 0:
-                break
-            Wa = W[active]
-            f, lam, resid, g, norm_g, step_retries = _projected_direction(Wa, problem, rho)
-            retries[active] += step_retries
-            phi = rho * np.log(f) - np.sum(np.log(Wa), axis=1)
+            lam, resid, g, norm_g, step_retries = _projected_direction(W, f, problem, rho)
+            retries += step_retries
 
             if trace_file is not None:
-                for row, idx in enumerate(active):
-                    rec = {"iter": int(iters[idx]), "f": float(f[row]), "phi": float(phi[row]),
+                for row, idx in enumerate(start):
+                    rec = {"iter": it, "f": float(f[row]), "phi": float(phi[row]),
                            "norm_g": float(norm_g[row])}
                     if n_starts > 1:
                         rec["start"] = int(idx)
                     trace_file.write(json.dumps(rec) + "\n")
 
-            done_optimal = phi <= threshold
-            done_kkt = ~done_optimal & (norm_g <= 1.0)
-            for row in np.nonzero(done_optimal | done_kkt)[0]:
-                finalize(row, EPS_OPTIMAL if done_optimal[row] else EPS_KKT)
+            keep = ~((phi <= threshold) | (norm_g <= 1.0)) & (it < cap)
+            if not keep.all():
+                for row in np.flatnonzero(~keep):
+                    retire(row, EPS_OPTIMAL if phi[row] <= threshold
+                           else EPS_KKT if norm_g[row] <= 1.0 else ITERATION_CAP)
+                if not keep.any():
+                    break
+                start, W, f, phi, lam, resid, g, norm_g = (
+                    a[keep] for a in (start, W, f, phi, lam, resid, g, norm_g))
 
-            keep = np.nonzero(~(done_optimal | done_kkt))[0]
-            if it == cap:
-                for row in keep:
-                    finalize(row, ITERATION_CAP)
-                break
-
-            W_new = _line_search(Wa[keep], g[keep], norm_g[keep], problem, rho)
+            W_new, f_new, phi_new = _line_search(W, g, norm_g, problem, rho)
             # For very small q the eps-KKT slack target can underflow float64;
-            # retire such starts instead of letting the gradient blow up.
-            floored = np.min(W_new, axis=1) < _W_FLOOR
-            for row in keep[floored]:
-                finalize(row, UNDERFLOW)
-            moved = active[keep[~floored]]
-            W[moved] = W_new[~floored]
-            iters[moved] += 1
-            active = moved
+            # retire such starts (at their last iterate) instead of letting
+            # the gradient blow up.
+            if W_new.min() < _W_FLOOR:
+                floored = W_new.min(axis=1) < _W_FLOOR
+                for row in np.flatnonzero(floored):
+                    retire(row, UNDERFLOW)
+                if floored.all():
+                    break
+                keep = ~floored
+                start, W_new, f_new, phi_new = (a[keep] for a in (start, W_new, f_new, phi_new))
+            W, f, phi = W_new, f_new, phi_new
 
     return [r for r in results if r is not None]
 

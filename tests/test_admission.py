@@ -1,5 +1,7 @@
 """Deflation algorithms and exact supportability primitives."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +200,29 @@ class TestRunLqmd:
         assert result.admitted == [] and result.readmitted == []
         assert result.powers_w.shape == (0,)
         assert result.removal_trace == [{"link": 0, "stage": "deflate", "round": 0}]
+
+    def test_stats_count_retries_and_terminations(self, monkeypatch):
+        # Fail the first Cholesky test of the run: each start of that first
+        # lockstep batch is charged one ridge retry.
+        prob = random_problem(16, 2)   # two deflation rounds
+        config = kernel.SolverConfig(epsilon=1e-6)
+        clean = run_lqmd(prob, q=0.5, n_starts=3, config=config)
+        assert clean.stats["solver_calls"] == 6 and clean.stats["ridge_retries"] == 0
+        assert clean.stats["terminations"] == {kernel.EPS_KKT: 6}
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def failing_once(a):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+        res = run_lqmd(prob, q=0.5, n_starts=3, config=config)
+        assert res.stats["ridge_retries"] == 3
+        assert sum(res.stats["terminations"].values()) == res.stats["solver_calls"]
+        assert json.loads(res.to_json())["stats"] == res.stats
 
     def test_invalid_parameters(self, three_link_no_alpha):
         with pytest.raises(ValueError):

@@ -151,6 +151,7 @@ class TestCli:
                      "--q", "0.5", "--n", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) >= {"admitted", "powers_mw", "removal_trace"}
+        assert set(doc["stats"]) >= {"ridge_retries", "terminations"}
 
         assert main(["solve", "--instance", str(files[0]), "--algo", "nlpd"]) == 0
         capsys.readouterr()

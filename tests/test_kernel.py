@@ -221,7 +221,8 @@ class TestProjectedDirection:
             aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
             W = rng.lognormal(0.0, 3.0, size=(1 if case % 2 else 5, 3 * K))
             rho = kernel.SolverConfig().rho(K, q)
-            f, _, _, g, _, _ = kernel._projected_direction(W, aug, rho)
+            f = kernel._batch_objective(W, aug)
+            _, _, g, _, _ = kernel._projected_direction(W, f, aug, rho)
             grad = kernel._batch_gradient(W, aug)
             for n in range(W.shape[0]):
                 M = aug.A_tilde * W[n]
@@ -248,6 +249,30 @@ class TestSolveNormal:
         ridge = np.trace(S[1]) / 4 * 1e-12
         assert sol[1] == pytest.approx(np.linalg.solve(S[1] + ridge * np.eye(4), rhs[1]), rel=1e-9)
 
+    def test_ridge_retry_on_zero_lu_pivot(self, monkeypatch):
+        # The LU solve can meet an exactly zero pivot in a system that passed
+        # the Cholesky test (seen at condition numbers near 1 / eps); that
+        # takes a ridge retry too.
+        solve = np.linalg.solve
+        calls = []
+
+        def singular_once(a, b):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        rng = np.random.default_rng(1)
+        B = rng.standard_normal((2, 4, 4))
+        S = B @ np.swapaxes(B, 1, 2) + np.eye(4)
+        rhs = rng.standard_normal((2, 4))
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        sol, retries = kernel._solve_normal(S, rhs)
+        assert retries == 1
+        for n in range(2):
+            ridge = np.trace(S[n]) / 4 * 1e-12
+            assert sol[n] == pytest.approx(solve(S[n] + ridge * np.eye(4), rhs[n]), rel=1e-9)
+
     def test_retries_reach_certificates(self, aug3, monkeypatch):
         # Fail the first factorization of the solve; every start in that
         # lockstep batch is charged one retry, later steps none.
@@ -266,6 +291,102 @@ class TestSolveNormal:
         monkeypatch.setattr(np.linalg, "cholesky", failing_once)
         res = kernel.multistart_solve(aug3, config, n_starts=3, seed=0)
         assert [c.ridge_retries for c in res.certificates] == [1, 1, 1]
+
+
+def _batch_case(K, q, seed, n_starts=6):
+    """A random instance and n_starts seeded interior starts, the default first."""
+    prob = random_problem(K, seed)
+    aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
+    rng = np.random.default_rng(seed)
+    starts = [kernel.interior_point_default(aug)] + [
+        kernel.interior_point_random(aug, rng.uniform(0.01, 0.99, size=K)) for _ in range(n_starts - 1)]
+    return aug, np.asarray(starts)
+
+
+def _assert_matches_single_starts(aug, config, starts, results):
+    # Each start's batch result is the one it reaches alone.
+    for w0, res in zip(starts, results):
+        w, cert = kernel.solve_potential_reduction(aug, config, w0)
+        assert res.certificate.termination == cert.termination
+        assert res.certificate.iterations == cert.iterations
+        assert (kernel.round_to_power(res.w, aug, config.zero_tol)[1]
+                == kernel.round_to_power(w, aug, config.zero_tol)[1])
+        assert np.max(np.abs(res.w - w)) <= 1e-6
+
+
+def _assert_carried_values_match(aug, config, results):
+    # The objective and multipliers on each certificate belong to the
+    # returned iterate, not to a row the batch held before it was compacted.
+    rho = config.rho(aug.K, aug.q)
+    for res in results:
+        f = kernel._batch_objective(res.w[None, :], aug)
+        assert res.certificate.f_value == pytest.approx(f[0], rel=1e-12)
+        lam, _, _, _, _ = kernel._projected_direction(res.w[None, :], f, aug, rho)
+        assert res.certificate.lam == pytest.approx(lam[0], rel=1e-9, abs=1e-12 * np.max(np.abs(lam)))
+
+
+class TestLockstepBatch:
+    def test_batch_matches_single_start_solves(self):
+        # Starts leave the batch at different iterations.
+        config = kernel.SolverConfig(epsilon=1e-6)
+        for i, K in enumerate((5, 8, 12)):
+            for j, q in enumerate((0.1, 0.5, 1.0)):
+                aug, starts = _batch_case(K, q, 700 + 3 * i + j)
+                results = kernel._solve_batch(aug, config, starts)
+                assert len({r.certificate.iterations for r in results}) > 1
+                _assert_matches_single_starts(aug, config, starts, results)
+
+    def test_carried_values_at_eps_kkt(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        config = kernel.SolverConfig(epsilon=1e-6, trace_path=str(path))
+        aug, starts = _batch_case(8, 0.1, 703)
+        results = kernel._solve_batch(aug, config, starts)
+        assert {r.certificate.termination for r in results} == {kernel.EPS_KKT}
+        assert len({r.certificate.iterations for r in results}) > 1
+        _assert_carried_values_match(aug, config, results)
+        # The last traced potential of each start is that of its returned iterate.
+        last = {}
+        for line in path.read_text().splitlines():
+            rec = json.loads(line)
+            last[rec["start"]] = rec["phi"]
+        rho = config.rho(aug.K, aug.q)
+        for idx, res in enumerate(results):
+            assert last[idx] == pytest.approx(kernel._batch_potential(res.w[None, :], aug, rho)[0], rel=1e-12)
+
+    def test_carried_values_at_iteration_cap(self):
+        aug, starts = _batch_case(8, 0.1, 703, n_starts=3)
+        free = kernel._solve_batch(aug, kernel.SolverConfig(epsilon=1e-6), starts)
+        iterations = [r.certificate.iterations for r in free]
+        assert min(iterations) < max(iterations)
+        # The cap lets the faster starts finish and stops the slowest.
+        config = kernel.SolverConfig(epsilon=1e-6, iter_cap_abs=max(iterations) - 1)
+        results = kernel._solve_batch(aug, config, starts)
+        assert [r.certificate.termination for r in results] == [
+            kernel.ITERATION_CAP if n == max(iterations) else kernel.EPS_KKT for n in iterations]
+        _assert_carried_values_match(aug, config, results)
+        _assert_matches_single_starts(aug, config, starts, results)
+
+    @pytest.mark.parametrize("K,q,seed,floor,mixed", [(8, 0.1, 703, 1e-3, False),
+                                                      (8, 0.7, 709, 1.3e-11, True)])
+    def test_carried_values_at_underflow(self, monkeypatch, K, q, seed, floor, mixed):
+        # The first case underflows every start, at different steps; in the
+        # second, one step retires a start at eps-KKT before the line search
+        # and another at underflow after it, so the underflow certificate
+        # reads the multipliers of a batch compacted within that step.
+        monkeypatch.setattr(kernel, "_W_FLOOR", floor)
+        config = kernel.SolverConfig(epsilon=1e-6)
+        aug, starts = _batch_case(K, q, seed)
+        results = kernel._solve_batch(aug, config, starts)
+        by_term = {}
+        for r in results:
+            by_term.setdefault(r.certificate.termination, set()).add(r.certificate.iterations)
+        assert len(by_term[kernel.UNDERFLOW]) > 1
+        if mixed:
+            assert by_term[kernel.EPS_KKT] & by_term[kernel.UNDERFLOW]
+        else:
+            assert set(by_term) == {kernel.UNDERFLOW}
+        _assert_carried_values_match(aug, config, results)
+        _assert_matches_single_starts(aug, config, starts, results)
 
 
 class TestSolve:
