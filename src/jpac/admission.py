@@ -7,6 +7,13 @@ admissible, and finally try to re-admit removed links.  NLPD runs the
 convex q = 1 power control from the single default start; LQMD runs the
 non-convex lq power control from multiple random starts.
 
+Every exact admissibility decision is one single-column solve.  A has unit
+diagonal and non-positive off-diagonals and b > 0, so a solution x >= 0 of
+A_SS x = b_S already proves that A_SS is a nonsingular M-matrix with an
+entrywise nonnegative inverse (network.m_matrix_solve).  It follows that
+admissibility is closed under subsets: dropping a link only removes
+interference.
+
 Index convention: every set handed to these functions is a set of row
 positions of the problem argument.  run_nlpd / run_lqmd report original
 link ids (via link_ids) in their results.
@@ -20,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .network import NormalizedProblem, restrict, select_alpha
+from .network import NormalizedProblem, m_matrix_solve, restrict, select_alpha
+
+ADMISSIBLE_ATOL = 1e-10   # bound slack of the [0, 1] test on x_S
 
 
 @dataclass
@@ -47,27 +56,25 @@ class AdmissionResult:
         })
 
 
-def admissible(problem: NormalizedProblem, S, atol: float = 1e-10) -> np.ndarray | None:
+def _within_box(x: np.ndarray, atol: float = ADMISSIBLE_ATOL):
+    """-atol <= x <= 1 + atol along the last axis; a row holding NaN fails."""
+    return (x.min(axis=-1) >= -atol) & (x.max(axis=-1) <= 1.0 + atol)
+
+
+def admissible(problem: NormalizedProblem, S, atol: float = ADMISSIBLE_ATOL) -> np.ndarray | None:
     """Minimum-power x_S if S is admissible, else None.
 
     S is admissible iff A_SS x = b_S has a solution inside [0, 1]^|S| (other
-    links silent).  On success the solve's column responses also certify
-    that A_SS^{-1} is entrywise nonnegative; a violation beyond tolerance is
-    treated as numerically inadmissible.
+    links silent).  A_SS is a Z-matrix and b_S > 0, so x >= 0 already
+    certifies that A_SS is a nonsingular M-matrix with A_SS^{-1} >= 0 (see
+    network.m_matrix_solve); no inverse columns are needed.  A singular
+    A_SS yields NaN, which the bound test rejects.
     """
     idx = np.asarray(sorted(S), dtype=int)
     if idx.size == 0:
         raise ValueError("S must be nonempty")
-    A_ss = problem.A[np.ix_(idx, idx)]
-    rhs = np.column_stack([problem.b[idx], np.eye(idx.size)])
-    try:
-        sol = np.linalg.solve(A_ss, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    x_s, inv = sol[:, 0], sol[:, 1:]
-    if np.any(x_s < -atol) or np.any(x_s > 1.0 + atol):
-        return None
-    if np.any(inv < -atol):
+    x_s = m_matrix_solve(problem.A[idx[:, None], idx], problem.b[idx])
+    if not _within_box(x_s, atol):
         return None
     return np.clip(x_s, 0.0, 1.0)
 
@@ -101,8 +108,8 @@ def foschini_miljanic(
     raise RuntimeError("fixed-point iteration did not converge (set numerically marginal)")
 
 
-def _necessary(A: np.ndarray, b: np.ndarray) -> bool:
-    mu = A.T @ np.ones(b.size)
+def _necessary(mu: np.ndarray, b: np.ndarray) -> bool:
+    # mu = A^T e, the column sums of A.
     mu_pos = np.maximum(mu, 0.0)
     mu_neg = np.maximum(-mu, 0.0)
     return float(np.sum(mu_pos) - (mu_neg + 1.0) @ b) >= 0.0
@@ -110,24 +117,28 @@ def _necessary(A: np.ndarray, b: np.ndarray) -> bool:
 
 def necessary_condition(problem: NormalizedProblem) -> bool:
     """Easy-to-check necessary condition for all links to be supportable."""
-    return _necessary(problem.A, problem.b)
-
-
-def _preprocess_scores(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    absA = np.abs(A)
-    np.fill_diagonal(absA, 0.0)
-    return absA.sum(axis=1) + absA.sum(axis=0) + b
+    return _necessary(problem.A.T @ np.ones(problem.K), problem.b)
 
 
 def _preprocess_positions(problem: NormalizedProblem) -> tuple[list[int], list[int]]:
-    """Kept and removed positions of the preprocess loop (see preprocess)."""
+    """Kept and removed positions of the preprocess loop (see preprocess).
+
+    The row and column sums of |A| (diagonal zeroed) and A^T e are carried as
+    running sums: a removal subtracts the removed link's column and row.
+    """
+    A, b = problem.A, problem.b
+    absA = np.abs(A)
+    np.fill_diagonal(absA, 0.0)
+    row, col, mu = absA.sum(axis=1), absA.sum(axis=0), A.T @ np.ones(problem.K)
     keep = list(range(problem.K))
     removed: list[int] = []
-    A, b = problem.A, problem.b
-    while len(keep) >= 2 and not _necessary(A, b):
-        k0 = int(np.argmax(_preprocess_scores(A, b)))  # argmax takes the first maximum
-        removed.append(keep.pop(k0))
-        A, b = problem.A[np.ix_(keep, keep)], problem.b[keep]
+    while len(keep) >= 2 and not _necessary(mu[keep], b[keep]):
+        k0 = int(np.argmax(row[keep] + col[keep] + b[keep]))  # argmax takes the first maximum
+        r = keep.pop(k0)
+        removed.append(r)
+        row -= absA[:, r]
+        col -= absA[r]
+        mu -= A[r]
     return keep, removed
 
 
@@ -136,7 +147,7 @@ def preprocess(problem: NormalizedProblem) -> tuple[NormalizedProblem, list[int]
 
     Removed entries are positions of the *input* problem; the last remaining
     link is never removed.  Ties go to the smallest index.  The loop works on
-    slices of A and b; the remaining links are restricted once at the end.
+    running sums over A; the remaining links are restricted once at the end.
     """
     keep, removed = _preprocess_positions(problem)
     return (restrict(problem, keep) if removed else problem), removed
@@ -153,17 +164,27 @@ def removal_candidate(problem: NormalizedProblem, x) -> int:
 
 
 def postprocess(problem: NormalizedProblem, admitted, removed) -> list[int]:
-    """Re-admit removed links (reverse removal order, passes to fixpoint)."""
+    """Re-admit removed links, trying them in reverse removal order.
+
+    Each scan tests every remaining candidate against the current set in one
+    stacked solve, admits the first that passes, and continues after it.
+    Admissibility is closed under subsets, so a link that fails against a
+    set also fails against every superset: a second pass over the rejected
+    links could admit nothing, and one reverse pass is the fixpoint.
+    """
     current = sorted(admitted)
-    pending = list(removed)
-    changed = True
-    while changed and pending:
-        changed = False
-        for link in reversed(list(pending)):
-            if admissible(problem, current + [link]) is not None:
-                current = sorted(current + [link])
-                pending.remove(link)
-                changed = True
+    pending = list(reversed(removed))
+    while pending:
+        # Row i holds the sorted positions of current + [pending[i]].
+        idx = np.sort(np.column_stack([np.tile(np.asarray(current, dtype=int), (len(pending), 1)),
+                                       pending]), axis=1)
+        x = m_matrix_solve(problem.A[idx[:, :, None], idx[:, None, :]], problem.b[idx])
+        passed = np.flatnonzero(_within_box(x))
+        if passed.size == 0:
+            break
+        first = int(passed[0])
+        current = sorted(current + [pending[first]])
+        pending = pending[first + 1:]
     return current
 
 
@@ -179,8 +200,10 @@ def _deflate(
     base = problem
     removal_trace: list[dict] = []
     # ridge_retries sums KktCertificate.ridge_retries over every start;
-    # terminations counts the starts per termination string.
-    stats = {"solver_calls": 0, "total_iterations": 0, "ridge_retries": 0, "terminations": {}}
+    # terminations counts the starts per termination string;
+    # max_primal_residual is the largest KktCertificate.primal_residual.
+    stats = {"solver_calls": 0, "total_iterations": 0, "ridge_retries": 0, "terminations": {},
+             "max_primal_residual": 0.0}
 
     keep, removed_pre = _preprocess_positions(base)
     for pos in removed_pre:
@@ -196,6 +219,7 @@ def _deflate(
         stats["total_iterations"] += res.total_iterations
         for cert in res.certificates:
             stats["ridge_retries"] += cert.ridge_retries
+            stats["max_primal_residual"] = max(stats["max_primal_residual"], cert.primal_residual)
             stats["terminations"][cert.termination] = stats["terminations"].get(cert.termination, 0) + 1
         k0 = removal_candidate(sub, res.x)
         removal_trace.append({
@@ -206,7 +230,8 @@ def _deflate(
         keep.pop(k0)
         round_idx += 1
 
-    removed_positions = [pos for pos in range(base.K) if pos not in set(keep)]
+    kept = set(keep)
+    removed_positions = [pos for pos in range(base.K) if pos not in kept]
     removal_order = {rec["link"]: i for i, rec in enumerate(removal_trace)}
     removed_positions.sort(key=lambda pos: removal_order[int(base.link_ids[pos])])
     final = postprocess(base, keep, removed_positions)

@@ -104,6 +104,8 @@ class KktCertificate:
     two differ on the w1 block, whose gradient is c~ rather than q w^q).
     ridge_retries counts the ridge retries of the start's normal solves; a
     retry on a lockstep batch counts for every start in that batch.
+    primal_residual is max|A~ w - b~| at the returned iterate, the larger of
+    max|A w1 + w2 - b| and max|w1 + w3 - 1|; it is recorded, not enforced.
     """
 
     lam: np.ndarray
@@ -115,6 +117,7 @@ class KktCertificate:
     gap_literal: float = float("nan")
     iterations: int = 0
     ridge_retries: int = 0
+    primal_residual: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -293,8 +296,10 @@ def _certificate(
     resid: np.ndarray, f_val: float, termination: str, iterations: int, ridge_retries: int,
 ) -> KktCertificate:
     k = problem.K
+    w1, w2, w3 = w[:k], w[k : 2 * k], w[2 * k :]
     w2q = np.zeros_like(w)
-    w2q[k : 2 * k] = problem.q * w[k : 2 * k] ** problem.q
+    w2q[k : 2 * k] = problem.q * w2 ** problem.q
+    primal = max(np.max(np.abs(problem.A @ w1 + w2 - problem.b)), np.max(np.abs(w1 + w3 - 1.0)))
     return KktCertificate(
         lam=lam,
         dual_residual=float(np.min(resid)),
@@ -305,6 +310,7 @@ def _certificate(
         gap_literal=float(np.sum(w2q - _a_tilde_t(problem, lam) * w) / f_val),
         iterations=int(iterations),
         ridge_retries=int(ridge_retries),
+        primal_residual=float(primal),
     )
 
 

@@ -205,8 +205,34 @@ def normalize(instance: NetworkInstance) -> NormalizedProblem:
     return NormalizedProblem(A=A, b=b, budgets=pbar.copy())
 
 
+def m_matrix_solve(A, b) -> np.ndarray:
+    """x = A^{-1} b for one Z-matrix A (m, m) or a stack (n, m, m); NaN where A is singular.
+
+    For a Z-matrix A (off-diagonals <= 0) and b > 0, a solution x >= 0 of
+    A x = b exists exactly when A is a nonsingular M-matrix, rho(I - A) < 1:
+    x >= 0 with A x > 0 makes A semipositive, and a nonsingular M-matrix has
+    A^{-1} = sum_k (I - A)^k >= 0 (Berman & Plemmons, Nonnegative Matrices in
+    the Mathematical Sciences, 1994, ch. 6).  So one column settles what
+    the entrywise sign of A^{-1} or an eigensolve would.  A singular stack
+    member is solved alone and comes back as NaN, which fails every bound
+    test written as `x.min() >= lo`.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if A.ndim == 2:
+            return np.full(b.shape, np.nan)
+        return np.stack([m_matrix_solve(a, v) for a, v in zip(A, b)])
+
+
 def spectral_radius(M) -> float:
-    """Spectral radius of a nonnegative square matrix, by dense eigensolve."""
+    """Spectral radius of a nonnegative square matrix, by dense eigensolve.
+
+    No solver path calls it: select_alpha decides rho(I - A) >= 1 by
+    m_matrix_solve.  The tests keep it as the reference for that decision.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
@@ -229,15 +255,15 @@ def select_alpha(
     Returns c1 * alpha1 when rho(I - A) >= 1.  Below 1, returns
     min(c2 * alpha1, c3 * alpha2) when an alpha2 override is supplied and
     c2 * alpha1 otherwise (the alpha2 bound lives in prior work and is
-    accepted here only as a pluggable parameter).
+    accepted here only as a pluggable parameter).  rho(I - A) < 1 is
+    decided as "A x = b has a solution x >= 0" (see m_matrix_solve).
     """
     if not (0.0 < c1 < 1.0 and 0.0 < c2 < 1.0):
         raise ValueError("c1 and c2 must lie in (0, 1)")
     if c3 <= c2:
         raise ValueError("c3 must exceed c2")
     alpha1 = normalized.alpha1
-    rho = spectral_radius(np.eye(normalized.K) - normalized.A)
-    if rho >= 1.0:
+    if not m_matrix_solve(normalized.A, normalized.b).min() >= 0.0:   # rho(I - A) >= 1
         return c1 * alpha1
     if alpha2 is not None:
         return min(c2 * alpha1, c3 * alpha2)

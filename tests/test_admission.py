@@ -224,6 +224,21 @@ class TestRunLqmd:
         assert sum(res.stats["terminations"].values()) == res.stats["solver_calls"]
         assert json.loads(res.to_json())["stats"] == res.stats
 
+    def test_stats_max_primal_residual(self, monkeypatch):
+        solve = kernel.multistart_solve
+        certs = []
+
+        def recording(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            certs.extend(res.certificates)
+            return res
+
+        monkeypatch.setattr(kernel, "multistart_solve", recording)
+        res = run_lqmd(random_problem(16, 2), q=0.5, n_starts=3)
+        assert len(certs) == res.stats["solver_calls"] == 6
+        assert res.stats["max_primal_residual"] == max(c.primal_residual for c in certs)
+        assert json.loads(res.to_json())["stats"]["max_primal_residual"] == res.stats["max_primal_residual"]
+
     def test_invalid_parameters(self, three_link_no_alpha):
         with pytest.raises(ValueError):
             run_lqmd(three_link_no_alpha, q=1.0, n_starts=5)

@@ -418,6 +418,15 @@ class TestSolve:
         assert np.max(np.abs(aug3.A_tilde @ w - aug3.b_tilde)) <= 1e-10
         assert np.all(w > 0.0)
 
+    def test_primal_residual_recorded(self, aug3):
+        config = kernel.SolverConfig(epsilon=1e-6)
+        aug = kernel.augment(random_problem(20, 4).with_alpha(0.01), q=0.5)
+        for problem in (aug3, aug):
+            w, cert = kernel.solve_potential_reduction(
+                problem, config, kernel.interior_point_default(problem))
+            expected = np.max(np.abs(problem.A_tilde @ w - problem.b_tilde))
+            assert cert.primal_residual == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
     def test_iteration_cap_termination(self, aug3):
         config = kernel.SolverConfig(epsilon=1e-4, iter_cap_abs=3)
         w, cert = kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))

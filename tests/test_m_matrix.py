@@ -1,0 +1,220 @@
+"""Single-column M-matrix decisions against the formulations they replaced.
+
+A has unit diagonal and non-positive off-diagonals and b > 0, so one solve
+x = A_SS^{-1} b_S with x >= 0 certifies a nonsingular M-matrix.  Each test
+here keeps the older, longer formulation as the reference:
+
+- admissible: the identity-column solve that also checks A_SS^{-1} >= 0;
+- select_alpha: the dense eigensolve rho(I - A) >= 1;
+- postprocess: the sequential loop, repeated until a pass admits nothing;
+- preprocess: the loop that re-slices A after every removal.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jpac import admission
+from jpac.admission import admissible, postprocess, preprocess, run_lqmd
+from jpac.network import NormalizedProblem, normalize, select_alpha, spectral_radius
+from jpac.scenario import ScenarioConfig, generate
+
+DENSITIES = st.sampled_from([1.0, 0.707])
+
+
+def _scenario(K: int, seed: int, distance_scale: float = 1.0) -> NormalizedProblem:
+    return normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=distance_scale)))
+
+
+def _ref_admissible(problem, S, atol=1e-10):
+    """Identity-column formulation: x_S plus the columns of A_SS^{-1}."""
+    idx = np.asarray(sorted(S), dtype=int)
+    A_ss = problem.A[np.ix_(idx, idx)]
+    rhs = np.column_stack([problem.b[idx], np.eye(idx.size)])
+    try:
+        sol = np.linalg.solve(A_ss, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    x_s, inv = sol[:, 0], sol[:, 1:]
+    if np.any(x_s < -atol) or np.any(x_s > 1.0 + atol) or np.any(inv < -atol):
+        return None
+    return np.clip(x_s, 0.0, 1.0)
+
+
+def _ref_postprocess(problem, admitted, removed):
+    """Sequential re-admission in reverse removal order, passes to fixpoint."""
+    current = sorted(admitted)
+    pending = list(removed)
+    changed = True
+    while changed and pending:
+        changed = False
+        for link in reversed(list(pending)):
+            if _ref_admissible(problem, current + [link]) is not None:
+                current = sorted(current + [link])
+                pending.remove(link)
+                changed = True
+    return current
+
+
+def _ref_preprocess(problem):
+    """Slice loop: rescore the restricted A after every removal."""
+
+    def necessary(A, b):
+        mu = A.T @ np.ones(b.size)
+        return float(np.sum(np.maximum(mu, 0.0)) - (np.maximum(-mu, 0.0) + 1.0) @ b) >= 0.0
+
+    def scores(A, b):
+        absA = np.abs(A)
+        np.fill_diagonal(absA, 0.0)
+        return absA.sum(axis=1) + absA.sum(axis=0) + b
+
+    keep = list(range(problem.K))
+    removed = []
+    A, b = problem.A, problem.b
+    while len(keep) >= 2 and not necessary(A, b):
+        removed.append(keep.pop(int(np.argmax(scores(A, b)))))
+        A, b = problem.A[np.ix_(keep, keep)], problem.b[keep]
+    return keep, removed
+
+
+def _high_interference(problem) -> bool:
+    """select_alpha's branch, read off with c2 != c1."""
+    return select_alpha(problem, c1=0.2, c2=0.1) == pytest.approx(0.2 * problem.alpha1, rel=1e-15)
+
+
+def _orthogonal(b) -> NormalizedProblem:
+    # Isolated links: link k is admissible against any set iff b_k <= 1.
+    b = np.asarray(b, dtype=float)
+    return NormalizedProblem(A=np.eye(b.size), b=b, budgets=np.ones(b.size))
+
+
+class TestAdmissibleEquivalence:
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 10), scale=DENSITIES)
+    def test_every_subset_matches_identity_columns(self, seed, K, scale):
+        prob = _scenario(K, seed, scale)
+        for size in range(1, K + 1):
+            for S in combinations(range(K), size):
+                got, ref = admissible(prob, S), _ref_admissible(prob, S)
+                assert (got is None) == (ref is None), S
+                if ref is not None:
+                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_both_verdicts_occur(self):
+        # The sweep above means little unless x > 1 and x < 0 both occur.
+        prob = _scenario(10, 1, 0.707)
+        subsets = [S for size in range(1, 11) for S in combinations(range(10), size)]
+        solves = [np.linalg.solve(prob.A[np.ix_(S, S)], prob.b[list(S)]) for S in subsets]
+        assert any(x.min() >= 0.0 and x.max() > 1.0 for x in solves)
+        assert any(x.min() < 0.0 for x in solves)
+        assert any(admissible(prob, S) is not None for S in subsets if len(S) > 1)
+
+    def test_singular_block_rejected(self):
+        # A_SS = [[1, -1], [-1, 1]] is singular: rho(I - A_SS) = 1 exactly.
+        prob = NormalizedProblem(A=[[1.0, -1.0], [-1.0, 1.0]], b=[0.5, 0.5], budgets=[1.0, 1.0])
+        assert admissible(prob, [0, 1]) is None
+        assert _ref_admissible(prob, [0, 1]) is None
+        assert admissible(prob, [1]) == pytest.approx([0.5])
+
+
+class TestSelectAlphaEquivalence:
+    @pytest.mark.parametrize("K", [5, 10, 20, 40, 64, 100, 150])
+    def test_matches_spectral_radius(self, K):
+        verdicts = []
+        for seed in range(20):
+            prob = _scenario(K, seed)
+            expected = spectral_radius(np.eye(K) - prob.A) >= 1.0
+            assert _high_interference(prob) == expected, seed
+            verdicts.append(expected)
+        if K == 5:
+            assert not all(verdicts)
+        if K >= 40:
+            assert any(verdicts)
+
+    def test_matches_on_lqmd_round_subproblems(self, monkeypatch):
+        seen = []
+
+        def recording(problem, *args, **kwargs):
+            seen.append(problem)
+            return select_alpha(problem, *args, **kwargs)
+
+        monkeypatch.setattr(admission, "select_alpha", recording)
+        for seed in range(4):
+            run_lqmd(_scenario(24, seed, 0.707), q=0.5, n_starts=2, seed=seed)
+        rounds = [p for p in seen if p.link_ids != tuple(range(24))]
+        assert len(rounds) >= 8
+        verdicts = [spectral_radius(np.eye(p.K) - p.A) >= 1.0 for p in seen]
+        assert [_high_interference(p) for p in seen] == verdicts
+        assert any(verdicts) and not all(verdicts)
+
+    def test_singular_counts_as_high_interference(self):
+        prob = NormalizedProblem(A=[[1.0, -1.0], [-1.0, 1.0]], b=[0.5, 0.5], budgets=[1.0, 1.0])
+        assert _high_interference(prob)
+
+
+class TestPostprocessEquivalence:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 16), scale=DENSITIES,
+           data=st.data())
+    def test_matches_sequential_fixpoint(self, seed, K, scale, data):
+        prob = _scenario(K, seed, scale)
+        order = data.draw(st.permutations(range(K)))
+        n_admitted = data.draw(st.integers(0, K - 1))
+        # Deflation hands over an admissible set: shrink the prefix until it is.
+        admitted = list(order[:n_admitted])
+        while admitted and _ref_admissible(prob, admitted) is None:
+            admitted.pop()
+        removed = [k for k in order if k not in admitted]
+        assert postprocess(prob, admitted, removed) == _ref_postprocess(prob, admitted, removed)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(b=st.lists(st.floats(0.1, 1.5), min_size=2, max_size=9), data=st.data())
+    def test_orthogonal_multi_link(self, b, data):
+        prob = _orthogonal(b)
+        K = prob.K
+        order = data.draw(st.permutations(range(K)))
+        n_admitted = data.draw(st.integers(0, K - 1))
+        admitted = [k for k in order[:n_admitted] if b[k] <= 1.0]
+        removed = [k for k in order if k not in admitted]
+        got = postprocess(prob, admitted, removed)
+        assert got == _ref_postprocess(prob, admitted, removed)
+        assert got == [k for k in range(K) if b[k] <= 1.0]
+
+    def test_two_interfering_pairs(self):
+        # Links 0-1 and 2-3 block each other (each pair's block is singular);
+        # the later removal of each pair comes back, the other stays out.
+        A = np.eye(4)
+        A[0, 1] = A[1, 0] = A[2, 3] = A[3, 2] = -1.0
+        prob = NormalizedProblem(A=A, b=np.full(4, 0.5), budgets=np.ones(4))
+        for removed in ([0, 1, 2, 3], [3, 1, 2, 0], [2, 0, 3, 1]):
+            got = postprocess(prob, [], removed)
+            assert got == _ref_postprocess(prob, [], removed)
+            assert got == sorted(max(pair, key=removed.index) for pair in ((0, 1), (2, 3)))
+
+    def test_singular_candidate_does_not_raise(self):
+        # current + [1] is singular, current + [2] is admissible.
+        A = np.eye(3)
+        A[0, 1] = A[1, 0] = -1.0
+        prob = NormalizedProblem(A=A, b=np.full(3, 0.5), budgets=np.ones(3))
+        assert postprocess(prob, [0], [2, 1]) == [0, 2]
+        assert postprocess(prob, [0], [1, 2]) == [0, 2]
+
+
+class TestPreprocessEquivalence:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 64), scale=DENSITIES)
+    def test_matches_slice_loop(self, seed, K, scale):
+        prob = _scenario(K, seed, scale)
+        keep, removed = _ref_preprocess(prob)
+        reduced, got = preprocess(prob)
+        assert got == removed
+        assert reduced.link_ids == tuple(keep)
+
+    def test_dense_instance_removes_many(self):
+        # The equivalence needs long removal chains to mean anything.
+        prob = _scenario(64, 1, 0.707)
+        _, removed = preprocess(prob)
+        assert removed == _ref_preprocess(prob)[1]
+        assert len(removed) >= 32
