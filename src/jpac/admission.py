@@ -124,22 +124,24 @@ def _preprocess_positions(problem: NormalizedProblem) -> tuple[list[int], list[i
     """Kept and removed positions of the preprocess loop (see preprocess).
 
     The row and column sums of |A| (diagonal zeroed) and A^T e are carried as
-    running sums: a removal subtracts the removed link's column and row.
+    running sums: a removal subtracts the removed link's column and row.  The
+    kept links are a boolean mask over the positions.
     """
     A, b = problem.A, problem.b
     absA = np.abs(A)
     np.fill_diagonal(absA, 0.0)
     row, col, mu = absA.sum(axis=1), absA.sum(axis=0), A.T @ np.ones(problem.K)
-    keep = list(range(problem.K))
+    kept = np.ones(problem.K, dtype=bool)
     removed: list[int] = []
-    while len(keep) >= 2 and not _necessary(mu[keep], b[keep]):
-        k0 = int(np.argmax(row[keep] + col[keep] + b[keep]))  # argmax takes the first maximum
-        r = keep.pop(k0)
+    while len(removed) <= problem.K - 2 and not _necessary(mu[kept], b[kept]):
+        # argmax takes the first maximum, so ties go to the smallest kept index.
+        r = int(np.argmax(np.where(kept, row + col + b, -np.inf)))
+        kept[r] = False
         removed.append(r)
         row -= absA[:, r]
         col -= absA[r]
         mu -= A[r]
-    return keep, removed
+    return np.flatnonzero(kept).tolist(), removed
 
 
 def preprocess(problem: NormalizedProblem) -> tuple[NormalizedProblem, list[int]]:
@@ -172,8 +174,18 @@ def postprocess(problem: NormalizedProblem, admitted, removed) -> list[int]:
     set also fails against every superset: a second pass over the rejected
     links could admit nothing, and one reverse pass is the fixpoint.
     """
+    return _readmit(problem, admitted, removed)[0]
+
+
+def _readmit(problem: NormalizedProblem, admitted, removed) -> tuple[list[int], np.ndarray | None]:
+    """postprocess's set with the minimum-power x of its last admitting scan.
+
+    x is over the sorted returned set, as admissible returns it; it is None
+    when nothing was readmitted.
+    """
     current = sorted(admitted)
     pending = list(reversed(removed))
+    x_current = None
     while pending:
         # Row i holds the sorted positions of current + [pending[i]].
         idx = np.sort(np.column_stack([np.tile(np.asarray(current, dtype=int), (len(pending), 1)),
@@ -184,8 +196,9 @@ def postprocess(problem: NormalizedProblem, admitted, removed) -> list[int]:
             break
         first = int(passed[0])
         current = sorted(current + [pending[first]])
+        x_current = np.clip(x[first], 0.0, 1.0)
         pending = pending[first + 1:]
-    return current
+    return current, x_current
 
 
 def _deflate(
@@ -210,7 +223,8 @@ def _deflate(
         removal_trace.append({"link": int(base.link_ids[pos]), "stage": "preprocess"})
 
     round_idx = 0
-    while keep and admissible(base, keep) is None:
+    # x_keep is the minimum-power x of keep once the exit check accepts it.
+    while keep and (x_keep := admissible(base, keep)) is None:
         sub = restrict(base, keep)
         if reselect_alpha:
             sub = sub.with_alpha(select_alpha(sub))
@@ -234,13 +248,14 @@ def _deflate(
     removed_positions = [pos for pos in range(base.K) if pos not in kept]
     removal_order = {rec["link"]: i for i, rec in enumerate(removal_trace)}
     removed_positions.sort(key=lambda pos: removal_order[int(base.link_ids[pos])])
-    final = postprocess(base, keep, removed_positions)
+    final, x_final = _readmit(base, keep, removed_positions)
     readmitted = sorted(int(base.link_ids[p]) for p in set(final) - set(keep))
 
-    if final:
-        powers_w = min_power_allocation(base, final)[final] * base.budgets[final]
-    else:  # no link is admissible, even alone
-        powers_w = np.zeros(0)
+    # The powers come from the solve that accepted the final set: the last
+    # readmitting scan, else the loop's exit check.
+    if x_final is None:
+        x_final = x_keep if keep else np.zeros(0)   # empty: no link is admissible, even alone
+    powers_w = x_final * base.budgets[final]
     return AdmissionResult(
         admitted=sorted(int(base.link_ids[p]) for p in final),
         powers_w=powers_w,

@@ -26,8 +26,12 @@ along w o (1 + t g).  The candidates are the step of radius beta, t = beta /
 ||g||, which lowers phi by at least 2 - sqrt(3) while ||g|| > 1, and fixed
 fractions of the distance to the boundary w > 0; the lowest phi wins, so
 every step keeps that guarantee.  The iteration stops once phi falls below
-the eps-optimality threshold or the projected direction has norm <= 1,
-which certifies an eps-KKT point.
+the eps-optimality threshold or every component of g lies in [-1, 1],
+max_n |g_n| <= 1, which certifies an eps-KKT point: with s = grad f - A~^T
+lambda, (rho / f) w o s = e - g lies in [0, 2], so s >= 0 and w^T s / f <=
+2 * 3K / rho <= eps (Ye 1998, Math. Program. 80, uses only these component
+bounds).  A step is taken only while max_n |g_n| > 1, hence ||g|| > 1 and
+the 2 - sqrt(3) decrease still holds.
 
 All starts advance in lockstep through one batched core; a single solve is
 that core on a batch of one, so every caller runs the same arithmetic.  The
@@ -106,6 +110,10 @@ class KktCertificate:
     retry on a lockstep batch counts for every start in that batch.
     primal_residual is max|A~ w - b~| at the returned iterate, the larger of
     max|A w1 + w2 - b| and max|w1 + w3 - 1|; it is recorded, not enforced.
+    An eps-KKT termination means max_n |g_n| <= 1 for the projected direction
+    g = e - (rho / f) w o (grad f - A~^T lambda), so that (rho / f) w o (grad
+    f - A~^T lambda) lies in [0, 2]: dual_residual >= 0 and comp_gap <= 6K /
+    rho <= eps.
     """
 
     lam: np.ndarray
@@ -323,10 +331,13 @@ class _StartResult:
 def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray) -> list[_StartResult]:
     """Run the potential-reduction iteration from each row of W0.
 
-    The batch holds the active starts only: a start that stops is written to
-    its result and its row is dropped from every per-row array.  With
-    config.trace_path set, one JSON line per start and iteration is appended
-    to that file.
+    A start retires as eps-optimal once phi <= threshold, and as eps-KKT at
+    the first iterate whose projected direction has max_n |g_n| <= 1, the
+    componentwise bound behind the certificate (module docstring); ||g||
+    sets the beta step and the trace record only.  The batch holds the
+    active starts only: a start that stops is written to its result and its
+    row is dropped from every per-row array.  With config.trace_path set, one
+    JSON line per start and iteration is appended to that file.
     """
     n_starts = W0.shape[0]
     k = problem.K
@@ -363,11 +374,12 @@ def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray
                         rec["start"] = int(idx)
                     trace_file.write(json.dumps(rec) + "\n")
 
-            keep = ~((phi <= threshold) | (norm_g <= 1.0)) & (it < cap)
+            kkt = np.abs(g).max(axis=1) <= 1.0
+            keep = ~((phi <= threshold) | kkt) & (it < cap)
             if not keep.all():
                 for row in np.flatnonzero(~keep):
                     retire(row, EPS_OPTIMAL if phi[row] <= threshold
-                           else EPS_KKT if norm_g[row] <= 1.0 else ITERATION_CAP)
+                           else EPS_KKT if kkt[row] else ITERATION_CAP)
                 if not keep.any():
                     break
                 start, W, f, phi, lam, resid, g, norm_g = (

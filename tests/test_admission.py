@@ -188,6 +188,16 @@ class TestRunNlpd:
         assert result.powers_w.shape == (0,)
         assert result.removal_trace == [{"link": 0, "stage": "deflate", "round": 0}]
 
+    def test_deflation_round_stays_on_constraints(self):
+        # deflate-sparse benchmark pool (seed 1) instance 3: stopping each
+        # start at its first certified eps-KKT point keeps the iterate on
+        # A~ w = b~ (max|A~ w - b~| read 10.1 under the ||g|| <= 1 stop).
+        scen_seed = int(np.random.SeedSequence(1).spawn(31)[3].generate_state(2)[0])
+        prob = normalize(generate(ScenarioConfig(K=64, square_side=2000.0 * (64 / 20) ** 0.5,
+                                                 seed=scen_seed)))
+        res = run_nlpd(prob.with_alpha(select_alpha(prob)), kernel.SolverConfig(epsilon=1e-6))
+        assert res.stats["max_primal_residual"] <= 1e-6
+
 
 class TestRunLqmd:
     def test_three_link_end_to_end(self, three_link_no_alpha):

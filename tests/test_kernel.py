@@ -473,6 +473,27 @@ class TestSolve:
                 worst = min([worst] + [a - b for a, b in zip(phis, phis[1:])])
         assert worst >= kernel.MIN_POTENTIAL_DECREASE - 1e-9
 
+    def test_stops_at_first_componentwise_kkt_point(self):
+        # A start retires as eps-KKT at the first iterate whose projected
+        # direction has max|g_n| <= 1: the returned iterate passes the test
+        # and the iterate one step earlier fails it.
+        config = kernel.SolverConfig(epsilon=1e-6)
+        for i, K in enumerate((5, 8, 12, 16, 20)):
+            for j, q in enumerate((0.1, 0.5, 1.0)):
+                prob = random_problem(K, 7100 + 3 * i + j)
+                aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
+                rho = config.rho(K, q)
+                w0 = kernel.interior_point_default(aug)
+                w, cert = kernel.solve_potential_reduction(aug, config, w0)
+                assert cert.termination == kernel.EPS_KKT
+                g = kernel._projected_direction(w[None, :], np.array([cert.f_value]), aug, rho)[2]
+                assert np.max(np.abs(g)) <= 1.0
+                capped = kernel.SolverConfig(epsilon=1e-6, iter_cap_abs=cert.iterations - 1)
+                w_prev, prev = kernel.solve_potential_reduction(aug, capped, w0)
+                assert prev.termination == kernel.ITERATION_CAP
+                g_prev = kernel._projected_direction(w_prev[None, :], np.array([prev.f_value]), aug, rho)[2]
+                assert np.max(np.abs(g_prev)) > 1.0
+
 
 class TestMultistart:
     def test_n1_equals_default_start_solve(self, aug3):
