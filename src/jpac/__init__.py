@@ -7,7 +7,6 @@ from .network import (
     restrict,
     select_alpha,
     sinr,
-    spectral_radius,
 )
 from .scenario import ScenarioConfig, generate
 from .kernel import (
@@ -26,7 +25,6 @@ from .admission import (
     AdmissionResult,
     admissible,
     foschini_miljanic,
-    min_power_allocation,
     necessary_condition,
     postprocess,
     preprocess,
@@ -38,13 +36,13 @@ from .oracle import EnumerationResult, enumerate_l0, estimate_qbar, lp_exact
 
 __all__ = [
     "NetworkInstance", "NormalizedProblem", "normalize", "restrict",
-    "select_alpha", "sinr", "spectral_radius",
+    "select_alpha", "sinr",
     "ScenarioConfig", "generate",
     "AugmentedProblem", "KktCertificate", "MultistartResult", "SolverConfig",
     "augment", "interior_point_default", "interior_point_random",
     "multistart_solve", "round_to_power", "solve_potential_reduction",
     "AdmissionResult", "admissible", "foschini_miljanic",
-    "min_power_allocation", "necessary_condition", "postprocess",
-    "preprocess", "removal_candidate", "run_lqmd", "run_nlpd",
+    "necessary_condition", "postprocess", "preprocess",
+    "removal_candidate", "run_lqmd", "run_nlpd",
     "EnumerationResult", "enumerate_l0", "estimate_qbar", "lp_exact",
 ]

@@ -79,17 +79,6 @@ def admissible(problem: NormalizedProblem, S, atol: float = ADMISSIBLE_ATOL) -> 
     return np.clip(x_s, 0.0, 1.0)
 
 
-def min_power_allocation(problem: NormalizedProblem, S) -> np.ndarray:
-    """Full-length minimum-power vector supporting exactly the links in S."""
-    idx = np.asarray(sorted(S), dtype=int)
-    x_s = admissible(problem, idx)
-    if x_s is None:
-        raise ValueError("S is not admissible")
-    x = np.zeros(problem.K)
-    x[idx] = x_s
-    return x
-
-
 def foschini_miljanic(
     problem: NormalizedProblem, S, x0=None, tol: float = 1e-12, max_iter: int = 100_000
 ) -> np.ndarray:
@@ -120,12 +109,14 @@ def necessary_condition(problem: NormalizedProblem) -> bool:
     return _necessary(problem.A.T @ np.ones(problem.K), problem.b)
 
 
-def _preprocess_positions(problem: NormalizedProblem) -> tuple[list[int], list[int]]:
-    """Kept and removed positions of the preprocess loop (see preprocess).
+def preprocess(problem: NormalizedProblem) -> tuple[list[int], list[int]]:
+    """Iteratively drop the heaviest interferer until the necessary condition holds.
 
-    The row and column sums of |A| (diagonal zeroed) and A^T e are carried as
-    running sums: a removal subtracts the removed link's column and row.  The
-    kept links are a boolean mask over the positions.
+    Returns the kept positions (ascending) and the removed positions of the
+    input problem in removal order.  The last remaining link is never
+    removed, and ties go to the smallest index.  The row and column sums of
+    |A| (diagonal zeroed) and A^T e are carried as running sums: a removal
+    subtracts the removed link's column and row.
     """
     A, b = problem.A, problem.b
     absA = np.abs(A)
@@ -144,17 +135,6 @@ def _preprocess_positions(problem: NormalizedProblem) -> tuple[list[int], list[i
     return np.flatnonzero(kept).tolist(), removed
 
 
-def preprocess(problem: NormalizedProblem) -> tuple[NormalizedProblem, list[int]]:
-    """Iteratively drop the heaviest interferer until the necessary condition holds.
-
-    Removed entries are positions of the *input* problem; the last remaining
-    link is never removed.  Ties go to the smallest index.  The loop works on
-    running sums over A; the remaining links are restricted once at the end.
-    """
-    keep, removed = _preprocess_positions(problem)
-    return (restrict(problem, keep) if removed else problem), removed
-
-
 def removal_candidate(problem: NormalizedProblem, x) -> int:
     """Index of the link to drop, scored from the residuals of an approximate x."""
     x = np.asarray(x, dtype=float)
@@ -165,7 +145,7 @@ def removal_candidate(problem: NormalizedProblem, x) -> int:
     return int(np.argmax(scores))
 
 
-def postprocess(problem: NormalizedProblem, admitted, removed) -> list[int]:
+def postprocess(problem: NormalizedProblem, admitted, removed) -> tuple[list[int], np.ndarray | None]:
     """Re-admit removed links, trying them in reverse removal order.
 
     Each scan tests every remaining candidate against the current set in one
@@ -173,14 +153,9 @@ def postprocess(problem: NormalizedProblem, admitted, removed) -> list[int]:
     Admissibility is closed under subsets, so a link that fails against a
     set also fails against every superset: a second pass over the rejected
     links could admit nothing, and one reverse pass is the fixpoint.
-    """
-    return _readmit(problem, admitted, removed)[0]
 
-
-def _readmit(problem: NormalizedProblem, admitted, removed) -> tuple[list[int], np.ndarray | None]:
-    """postprocess's set with the minimum-power x of its last admitting scan.
-
-    x is over the sorted returned set, as admissible returns it; it is None
+    Returns the sorted final set and the minimum-power x of its last
+    admitting scan, over that sorted set as admissible returns it; x is None
     when nothing was readmitted.
     """
     current = sorted(admitted)
@@ -218,7 +193,7 @@ def _deflate(
     stats = {"solver_calls": 0, "total_iterations": 0, "ridge_retries": 0, "terminations": {},
              "max_primal_residual": 0.0}
 
-    keep, removed_pre = _preprocess_positions(base)
+    keep, removed_pre = preprocess(base)
     for pos in removed_pre:
         removal_trace.append({"link": int(base.link_ids[pos]), "stage": "preprocess"})
 
@@ -248,7 +223,7 @@ def _deflate(
     removed_positions = [pos for pos in range(base.K) if pos not in kept]
     removal_order = {rec["link"]: i for i, rec in enumerate(removal_trace)}
     removed_positions.sort(key=lambda pos: removal_order[int(base.link_ids[pos])])
-    final, x_final = _readmit(base, keep, removed_positions)
+    final, x_final = postprocess(base, keep, removed_positions)
     readmitted = sorted(int(base.link_ids[p]) for p in set(final) - set(keep))
 
     # The powers come from the solve that accepted the final set: the last

@@ -46,8 +46,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         if self.runs < 0:
             raise ValueError("runs must be nonnegative")
+        if not self.q_list:
+            raise ValueError("q_list must not be empty")
         if any(not (0.0 < q <= 1.0) for q in self.q_list):
             raise ValueError("all q must lie in (0, 1]")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be at least 1")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

@@ -69,33 +69,38 @@ _W_FLOOR = 1e-280  # retire a start once a component nears the float64 range
 
 @dataclass(frozen=True)
 class AugmentedProblem:
-    """Slack-variable form (A~, b~, c~) with the lq exponent q."""
+    """Slack form with exponent q: A~ = [[A, I, 0], [I, 0, I]], b~ = (b; e).
 
-    A_tilde: np.ndarray   # (2K, 3K)
-    b_tilde: np.ndarray   # (2K,)
-    c_tilde: np.ndarray   # (K,)
+    Only A (K x K), b and c~ (K,) are stored, since the iteration works on
+    the blocks; A_tilde and b_tilde build A~ and b~ on demand.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    c_tilde: np.ndarray
     q: float
-    K: int
 
     def __post_init__(self):
         if not (0.0 < self.q <= 1.0):
             raise ValueError("q must lie in (0, 1]")
-        if self.A_tilde.shape != (2 * self.K, 3 * self.K):
-            raise ValueError("A_tilde must be 2K x 3K")
-        # The projection eliminates the identity blocks; it is wrong for any other A~.
-        if not (np.array_equal(self.A_tilde[:, self.K :], np.eye(2 * self.K))
-                and np.array_equal(self.A_tilde[self.K :, : self.K], np.eye(self.K))):
-            raise ValueError("A_tilde must have the blocks [[A, I, 0], [I, 0, I]]")
-        if np.any(self.b_tilde <= 0):
-            raise ValueError("b_tilde must be strictly positive")
+        k = self.K
+        if self.A.shape != (k, k) or self.c_tilde.shape != (k,):
+            raise ValueError("A must be K x K and c_tilde of length K, for K = len(b)")
+        if np.any(self.b <= 0):
+            raise ValueError("b must be strictly positive")
 
     @property
-    def A(self) -> np.ndarray:
-        return self.A_tilde[: self.K, : self.K]
+    def K(self) -> int:
+        return self.b.shape[0]
 
     @property
-    def b(self) -> np.ndarray:
-        return self.b_tilde[: self.K]
+    def A_tilde(self) -> np.ndarray:
+        eye, zero = np.eye(self.K), np.zeros((self.K, self.K))
+        return np.block([[self.A, eye, zero], [eye, zero, eye]])
+
+    @property
+    def b_tilde(self) -> np.ndarray:
+        return np.concatenate([self.b, np.ones(self.K)])
 
 
 @dataclass(frozen=True)
@@ -103,11 +108,9 @@ class KktCertificate:
     """Multipliers and residuals backing a solver termination claim.
 
     dual_residual is the minimum component of grad f(w) - A~^T lambda;
-    comp_gap is w^T (grad f - A~^T lambda) / f(w).  gap_literal records the
-    sum_n (q w_n^q - [A~^T lambda]_n w_n) / f(w) variant for comparison (the
-    two differ on the w1 block, whose gradient is c~ rather than q w^q).
-    ridge_retries counts the ridge retries of the start's normal solves; a
-    retry on a lockstep batch counts for every start in that batch.
+    comp_gap is w^T (grad f - A~^T lambda) / f(w).  ridge_retries counts the
+    ridge retries of the start's normal solves; a retry on a lockstep batch
+    counts for every start in that batch.
     primal_residual is max|A~ w - b~| at the returned iterate, the larger of
     max|A w1 + w2 - b| and max|w1 + w3 - 1|; it is recorded, not enforced.
     An eps-KKT termination means max_n |g_n| <= 1 for the projected direction
@@ -122,7 +125,6 @@ class KktCertificate:
     epsilon: float
     termination: str
     f_value: float
-    gap_literal: float = float("nan")
     iterations: int = 0
     ridge_retries: int = 0
     primal_residual: float = float("nan")
@@ -136,8 +138,13 @@ class SolverConfig:
     trace_path: str | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # NaN fails every comparison, so the float tests reject it too.
+        if not (0.0 < self.epsilon < 1.0):
+            raise ValueError("epsilon must lie in (0, 1)")
+        if self.iter_cap_abs < 0:
+            raise ValueError("iter_cap_abs must be nonnegative")
+        if not (0.0 <= self.zero_tol < math.inf):
+            raise ValueError("zero_tol must be finite and nonnegative")
 
     def rho(self, K: int, q: float) -> float:
         # rho >= 6K/eps certifies the eps-KKT gap; rho > K/q is needed by
@@ -150,24 +157,16 @@ class SolverConfig:
 
 
 def augment(normalized: NormalizedProblem, q: float = 1.0) -> AugmentedProblem:
-    """Assemble the 2K x 3K slack form; requires alpha to be set."""
+    """The slack form of a normalized problem; requires alpha to be set."""
     if normalized.alpha is None:
         raise ValueError("normalized problem must have alpha set")
-    k = normalized.K
-    eye = np.eye(k)
-    zero = np.zeros((k, k))
-    A_tilde = np.block([[normalized.A, eye, zero], [eye, zero, eye]])
-    b_tilde = np.concatenate([normalized.b, np.ones(k)])
-    c_tilde = normalized.alpha * normalized.budgets
-    return AugmentedProblem(A_tilde=A_tilde, b_tilde=b_tilde, c_tilde=c_tilde, q=float(q), K=k)
+    return AugmentedProblem(A=normalized.A, b=normalized.b,
+                            c_tilde=normalized.alpha * normalized.budgets, q=float(q))
 
 
 def interior_point_default(problem: AugmentedProblem) -> np.ndarray:
     """Deterministic strictly interior start w0 = (m/2; b - A m/2; e - m/2)."""
-    A, b = problem.A, problem.b
-    m = np.minimum(b, 1.0)
-    w1 = m / 2.0
-    return np.concatenate([w1, b - A @ w1, 1.0 - w1])
+    return interior_point_random(problem, np.full(problem.K, 0.5))
 
 
 def interior_point_random(problem: AugmentedProblem, xi: np.ndarray) -> np.ndarray:
@@ -177,9 +176,8 @@ def interior_point_random(problem: AugmentedProblem, xi: np.ndarray) -> np.ndarr
         raise ValueError(f"xi must have shape ({problem.K},)")
     if np.any(xi < INIT_MARGIN) or np.any(xi > 1.0 - INIT_MARGIN):
         raise ValueError("xi must lie in [INIT_MARGIN, 1 - INIT_MARGIN]")
-    A, b = problem.A, problem.b
-    w1 = xi * np.minimum(b, 1.0)
-    return np.concatenate([w1, b - A @ w1, 1.0 - w1])
+    w1 = xi * np.minimum(problem.b, 1.0)
+    return np.concatenate([w1, problem.b - problem.A @ w1, 1.0 - w1])
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +188,6 @@ def interior_point_random(problem: AugmentedProblem, xi: np.ndarray) -> np.ndarr
 def _batch_objective(W: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
     k = problem.K
     return W[..., :k] @ problem.c_tilde + np.sum(W[..., k : 2 * k] ** problem.q, axis=-1)
-
-
-def _batch_gradient(W: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
-    """Full gradient (c~; q w2^(q-1); 0) of f; the iteration uses its blocks directly."""
-    k = problem.K
-    grad = np.empty_like(W)
-    grad[:, :k] = problem.c_tilde
-    grad[:, k : 2 * k] = problem.q * W[:, k : 2 * k] ** (problem.q - 1.0)
-    grad[:, 2 * k :] = 0.0
-    return grad
 
 
 def _batch_potential(W: np.ndarray, problem: AugmentedProblem, rho: float) -> np.ndarray:
@@ -227,12 +215,6 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
             m = normal.shape[-1]
             ridge = np.trace(normal, axis1=-2, axis2=-1) / m * 1e-12
             normal = normal + ridge[..., None, None] * np.eye(m)
-
-
-def _a_tilde_t(problem: AugmentedProblem, lam: np.ndarray) -> np.ndarray:
-    """A~^T lambda = (A^T lam1 + lam2; lam1; lam2) for lambda = (lam1; lam2), batched."""
-    lam1, lam2 = lam[..., : problem.K], lam[..., problem.K :]
-    return np.concatenate([lam1 @ problem.A + lam2, lam1, lam2], axis=-1)
 
 
 def _projected_direction(W: np.ndarray, f: np.ndarray, problem: AugmentedProblem, rho: float):
@@ -305,8 +287,6 @@ def _certificate(
 ) -> KktCertificate:
     k = problem.K
     w1, w2, w3 = w[:k], w[k : 2 * k], w[2 * k :]
-    w2q = np.zeros_like(w)
-    w2q[k : 2 * k] = problem.q * w2 ** problem.q
     primal = max(np.max(np.abs(problem.A @ w1 + w2 - problem.b)), np.max(np.abs(w1 + w3 - 1.0)))
     return KktCertificate(
         lam=lam,
@@ -315,7 +295,6 @@ def _certificate(
         epsilon=config.epsilon,
         termination=termination,
         f_value=float(f_val),
-        gap_literal=float(np.sum(w2q - _a_tilde_t(problem, lam) * w) / f_val),
         iterations=int(iterations),
         ridge_retries=int(ridge_retries),
         primal_residual=float(primal),

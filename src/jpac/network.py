@@ -227,22 +227,6 @@ def m_matrix_solve(A, b) -> np.ndarray:
         return np.stack([m_matrix_solve(a, v) for a, v in zip(A, b)])
 
 
-def spectral_radius(M) -> float:
-    """Spectral radius of a nonnegative square matrix, by dense eigensolve.
-
-    No solver path calls it: select_alpha decides rho(I - A) >= 1 by
-    m_matrix_solve.  The tests keep it as the reference for that decision.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be square, got {M.shape}")
-    if np.any(M < 0):
-        raise ValueError("M must be nonnegative")
-    if M.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
 def select_alpha(
     normalized: NormalizedProblem,
     c1: float = 0.2,

@@ -10,7 +10,6 @@ from jpac import kernel
 from jpac.admission import (
     admissible,
     foschini_miljanic,
-    min_power_allocation,
     necessary_condition,
     postprocess,
     preprocess,
@@ -18,7 +17,7 @@ from jpac.admission import (
     run_lqmd,
     run_nlpd,
 )
-from jpac.network import NormalizedProblem, normalize, select_alpha, sinr
+from jpac.network import NormalizedProblem, normalize, restrict, select_alpha, sinr
 from jpac.oracle import enumerate_l0
 from jpac.scenario import ScenarioConfig, generate
 
@@ -58,19 +57,9 @@ class TestAdmissible:
         with pytest.raises(ValueError):
             admissible(three_link, [])
 
-
-class TestMinPowerAllocation:
-    def test_three_link(self, three_link):
-        x = min_power_allocation(three_link, [0, 1])
-        assert x == pytest.approx([0.5, 0.5, 0.0])
-
     def test_orthogonal(self):
         prob = _diag_problem(K=3, b=0.4)
-        assert min_power_allocation(prob, [0, 2]) == pytest.approx([0.4, 0.0, 0.4])
-
-    def test_inadmissible_rejected(self, three_link):
-        with pytest.raises(ValueError):
-            min_power_allocation(three_link, [0, 1, 2])
+        assert admissible(prob, [2, 0]) == pytest.approx([0.4, 0.4])
 
 
 class TestFoschiniMiljanic:
@@ -116,21 +105,21 @@ class TestPreprocess:
     def test_three_link_removes_strongest_interferer(self, three_link):
         # Scores (2.5, 2.5, 4.5): the mutual interferer goes first, after
         # which the remaining pair satisfies the necessary condition.
-        reduced, removed = preprocess(three_link)
+        keep, removed = preprocess(three_link)
         assert removed == [2]
-        assert reduced.link_ids == (0, 1)
-        assert necessary_condition(reduced)
+        assert keep == [0, 1]
+        assert necessary_condition(restrict(three_link, keep))
 
     def test_no_removals_when_condition_holds(self):
         prob = _diag_problem(K=3, b=0.5)
-        reduced, removed = preprocess(prob)
+        keep, removed = preprocess(prob)
         assert removed == []
-        assert reduced.K == 3
+        assert keep == [0, 1, 2]
 
     def test_never_removes_last_link(self):
         prob = NormalizedProblem(A=[[1.0]], b=[2.0], budgets=[1.0])
-        reduced, removed = preprocess(prob)
-        assert reduced.K == 1 and removed == []
+        keep, removed = preprocess(prob)
+        assert keep == [0] and removed == []
 
 
 class TestRemovalCandidate:
@@ -148,19 +137,23 @@ class TestRemovalCandidate:
 
 class TestPostprocess:
     def test_empty_removed(self, three_link):
-        assert postprocess(three_link, [0, 1], []) == [0, 1]
+        assert postprocess(three_link, [0, 1], []) == ([0, 1], None)
 
     def test_orthogonal_readmits(self):
         prob = _diag_problem(K=2, b=0.5)
-        assert postprocess(prob, [0], [1]) == [0, 1]
+        admitted, x = postprocess(prob, [0], [1])
+        assert admitted == [0, 1]
+        assert x == pytest.approx([0.5, 0.5])
 
     def test_three_link_never_readmits_blocker(self, three_link):
-        assert postprocess(three_link, [0, 1], [2]) == [0, 1]
+        assert postprocess(three_link, [0, 1], [2]) == ([0, 1], None)
 
     def test_multi_pass_reaches_fixpoint(self):
         # Re-admitting one link can unlock another on orthogonal problems.
         prob = _diag_problem(K=3, b=0.5)
-        assert postprocess(prob, [0], [2, 1]) == [0, 1, 2]
+        admitted, x = postprocess(prob, [0], [2, 1])
+        assert admitted == [0, 1, 2]
+        assert x == pytest.approx([0.5, 0.5, 0.5])
 
 
 class TestRunNlpd:

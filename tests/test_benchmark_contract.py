@@ -1,0 +1,48 @@
+"""The benchmark script still runs against the package API.
+
+perfbench/run.py reaches into jpac by module attribute, and the suite does
+not collect perfbench/, so an API change could break the benchmark
+unnoticed.  This imports the script and runs its own bindings and output
+checks on pool instance 0 of seed 3, the seed of perfbench/test_run.py.
+"""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # The script pins BLAS threads in os.environ and puts perfbench/ on
+    # sys.path; both are restored once it is loaded.
+    env, path = os.environ.copy(), sys.path[:]
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
+        sys.path[:] = path
+    yield module
+    sys.modules.pop(spec.name, None)
+
+
+def test_bindings_resolve(bench):
+    for module, attr, name, _ in bench.BINDINGS:
+        assert callable(getattr(module, attr, None)), name
+
+
+@pytest.mark.parametrize("workload", ["deflate-dense", "deflate-sparse", "compare-k10"])
+def test_workload_answers_pass_checks(bench, workload):
+    wl = bench.WORKLOADS[workload]
+    inst = bench.make_instance(wl, 0, np.random.SeedSequence(3).spawn(wl.pool + 1)[0])
+    answers = wl.check(inst, wl.solve(inst))
+    assert set(answers) == set(wl.answers)

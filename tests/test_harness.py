@@ -193,6 +193,17 @@ class TestCli:
             rec = json.loads(trace.read_text().splitlines()[0])
             assert {"iter", "f", "phi", "norm_g"} <= set(rec)
 
+    @pytest.mark.parametrize("field,value", [("q_list", []), ("n_starts", 0)])
+    def test_experiment_config_error_exit_code(self, tmp_path, capsys, field, value):
+        # Unchecked, an empty q_list would crash on q_list[0] and n_starts = 0
+        # would surface only as error rows and exit 2.
+        cfg = {"experiment": "deflate-compare", "K_list": [4], "runs": 1, field: value}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "deflate-compare_rows.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"experiment": "nope"}')

@@ -12,6 +12,21 @@ from jpac.network import NormalizedProblem, select_alpha
 from conftest import ALPHA3, X3_STAR, random_problem
 
 
+def _grad_f(W, aug):
+    """Reference gradient (c~; q w2^(q-1); 0) of f at each row of W, built apart from the kernel."""
+    k = aug.K
+    grad = np.zeros_like(W)
+    grad[:, :k] = aug.c_tilde
+    grad[:, k : 2 * k] = aug.q * W[:, k : 2 * k] ** (aug.q - 1.0)
+    return grad
+
+
+def _direction_gradient(W, aug, rho=1e4):
+    """The gradient the iteration uses: resid + A~^T lam from _projected_direction."""
+    lam, resid, _, _, _ = kernel._projected_direction(W, kernel._batch_objective(W, aug), aug, rho)
+    return resid + lam @ aug.A_tilde
+
+
 def _single_link_aug(q=0.5, alpha=0.2):
     prob = NormalizedProblem(A=[[1.0]], b=[1.0], budgets=[1.0], alpha=alpha)
     return kernel.augment(prob, q=q)
@@ -47,14 +62,6 @@ class TestAugment:
         with pytest.raises(ValueError):
             kernel.augment(three_link_no_alpha)
 
-    def test_rejects_unstructured_a_tilde(self, aug3):
-        for row, col in ((0, 3), (1, 7), (4, 1), (5, 0)):
-            A_tilde = aug3.A_tilde.copy()
-            A_tilde[row, col] += 0.5
-            with pytest.raises(ValueError):
-                kernel.AugmentedProblem(A_tilde=A_tilde, b_tilde=aug3.b_tilde,
-                                        c_tilde=aug3.c_tilde, q=aug3.q, K=aug3.K)
-
     def test_invalid_q(self, three_link):
         with pytest.raises(ValueError):
             kernel.augment(three_link, q=0.0)
@@ -64,43 +71,39 @@ class TestAugment:
 
 class TestObjectiveGradient:
     def test_linear_case(self):
-        aug = kernel.AugmentedProblem(
-            A_tilde=_single_link_aug(q=1.0).A_tilde, b_tilde=np.ones(2),
-            c_tilde=np.zeros(1), q=1.0, K=1,
-        )
+        aug = kernel.AugmentedProblem(A=np.ones((1, 1)), b=np.ones(1), c_tilde=np.zeros(1), q=1.0)
         W = np.ones((1, 3))
         assert kernel._batch_objective(W, aug)[0] == pytest.approx(1.0)
-        assert kernel._batch_gradient(W, aug)[0] == pytest.approx([0.0, 1.0, 0.0])
+        assert _direction_gradient(W, aug)[0] == pytest.approx([0.0, 1.0, 0.0])
 
     def test_power_rule(self):
-        aug = kernel.AugmentedProblem(
-            A_tilde=_single_link_aug().A_tilde, b_tilde=np.ones(2),
-            c_tilde=np.zeros(1), q=0.5, K=1,
-        )
+        aug = kernel.AugmentedProblem(A=np.ones((1, 1)), b=np.ones(1), c_tilde=np.zeros(1), q=0.5)
         W = np.array([[1.0, 4.0, 1.0]])
         assert kernel._batch_objective(W, aug)[0] == pytest.approx(2.0)
-        assert kernel._batch_gradient(W, aug)[0, 1] == pytest.approx(0.25)
+        assert _direction_gradient(W, aug)[0, 1] == pytest.approx(0.25)
 
-    def test_gradient_matches_finite_differences(self, aug3):
+    def test_gradient_matches_finite_differences(self):
+        # grad f = (grad f - A~^T lam) + A~^T lam, read off the direction's
+        # own multipliers and reduced gradient.
         rng = np.random.default_rng(5)
         h = 1e-6
-        for _ in range(10):
-            w = rng.uniform(0.2, 1.5, size=9)
-            grad = kernel._batch_gradient(w[None, :], aug3)[0]
-            for n in range(9):
-                e = np.zeros(9)
+        for case in range(10):
+            K = int(rng.integers(3, 21))
+            prob = random_problem(K, 6000 + case)
+            aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=(0.1, 0.5, 1.0)[case % 3])
+            w = rng.uniform(0.2, 1.5, size=3 * K)
+            grad = _direction_gradient(w[None, :], aug, kernel.SolverConfig().rho(K, aug.q))[0]
+            for n in range(3 * K):
+                e = np.zeros(3 * K)
                 e[n] = h
-                fd = (kernel._batch_objective((w + e)[None, :], aug3)[0]
-                      - kernel._batch_objective((w - e)[None, :], aug3)[0]) / (2 * h)
+                fd = (kernel._batch_objective((w + e)[None, :], aug)[0]
+                      - kernel._batch_objective((w - e)[None, :], aug)[0]) / (2 * h)
                 assert grad[n] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 class TestPotential:
     def test_unit_point_zero(self):
-        aug = kernel.AugmentedProblem(
-            A_tilde=_single_link_aug(q=1.0).A_tilde, b_tilde=np.ones(2),
-            c_tilde=np.zeros(1), q=1.0, K=1,
-        )
+        aug = kernel.AugmentedProblem(A=np.ones((1, 1)), b=np.ones(1), c_tilde=np.zeros(1), q=1.0)
         assert kernel._batch_potential(np.ones((1, 3)), aug, rho=37.0)[0] == 0.0
 
     def test_matches_duplicate_formula(self, aug3):
@@ -163,7 +166,7 @@ class TestReductionStep:
         rho = config.rho(aug3.K, aug3.q)
         w = kernel.interior_point_default(aug3)
         f = kernel._batch_objective(w[None, :], aug3)[0]
-        grad = kernel._batch_gradient(w[None, :], aug3)[0]
+        grad = _grad_f(w[None, :], aug3)[0]
         AW = aug3.A_tilde * w[None, :]
         lam = np.linalg.solve(AW @ AW.T, AW @ (w * grad - f / rho))
         g = 1.0 - (rho / f) * w * (grad - aug3.A_tilde.T @ lam)
@@ -200,7 +203,7 @@ class TestReductionStep:
         config = kernel.SolverConfig(epsilon=1e-3)
         w, cert = kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))
         assert cert.termination == kernel.EPS_KKT
-        resid = kernel._batch_gradient(w[None, :], aug3)[0] - aug3.A_tilde.T @ cert.lam
+        resid = _grad_f(w[None, :], aug3)[0] - aug3.A_tilde.T @ cert.lam
         scaled = (config.rho(aug3.K, aug3.q) / cert.f_value) * w * resid
         assert np.all(scaled >= -1e-8)
         assert np.all(scaled <= 2.0 + 1e-8)
@@ -223,7 +226,7 @@ class TestProjectedDirection:
             rho = kernel.SolverConfig().rho(K, q)
             f = kernel._batch_objective(W, aug)
             _, _, g, _, _ = kernel._projected_direction(W, f, aug, rho)
-            grad = kernel._batch_gradient(W, aug)
+            grad = _grad_f(W, aug)
             for n in range(W.shape[0]):
                 M = aug.A_tilde * W[n]
                 u = 1.0 - (rho / f[n]) * W[n] * grad[n]
@@ -553,3 +556,25 @@ class TestConfig:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             kernel.SolverConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1.0])
+    def test_epsilon_must_be_finite_below_one(self, epsilon):
+        # Unchecked, nan would fail later in iter_cap's int() and inf in its log(1 / eps).
+        with pytest.raises(ValueError, match="epsilon"):
+            kernel.SolverConfig(epsilon=epsilon)
+
+    def test_negative_iteration_cap_rejected(self, aug3):
+        # Unchecked, -1 would run no iteration and fail with an IndexError.
+        with pytest.raises(ValueError, match="iter_cap_abs"):
+            kernel.SolverConfig(iter_cap_abs=-1)
+        # 0 stays legal: every start returns its initial point, capped.
+        w0 = kernel.interior_point_default(aug3)
+        w, cert = kernel.solve_potential_reduction(aug3, kernel.SolverConfig(iter_cap_abs=0), w0)
+        assert cert.termination == kernel.ITERATION_CAP and cert.iterations == 0
+        assert np.array_equal(w, w0)
+
+    @pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -1e-9])
+    def test_zero_tol_must_be_finite_nonnegative(self, zero_tol):
+        with pytest.raises(ValueError, match="zero_tol"):
+            kernel.SolverConfig(zero_tol=zero_tol)
+        assert kernel.SolverConfig(zero_tol=0.0).zero_tol == 0.0

@@ -10,7 +10,6 @@ from jpac.network import (
     restrict,
     select_alpha,
     sinr,
-    spectral_radius,
 )
 
 from conftest import A3, B3, random_problem
@@ -76,50 +75,6 @@ class TestNormalize:
             off = prob.A - np.diag(np.diag(prob.A))
             assert np.all(off <= 0.0)
             assert np.all(prob.b > 0.0)
-
-
-class TestSpectralRadius:
-    def test_identity(self):
-        assert spectral_radius(np.eye(3)) == pytest.approx(1.0)
-
-    def test_three_link_interference_block(self):
-        assert spectral_radius(np.eye(3) - A3) == pytest.approx(np.sqrt(2.0))
-
-    def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((4, 4))) == 0.0
-
-    def test_matches_dense_oracle_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            M = rng.uniform(0.0, 2.0, size=(5, 5))
-            expected = float(np.max(np.abs(np.linalg.eigvals(M))))
-            assert spectral_radius(M) == pytest.approx(expected, abs=1e-8)
-
-    def test_large_matrix_power_iteration(self):
-        rng = np.random.default_rng(9)
-        M = rng.uniform(0.0, 1.0, size=(80, 80))
-        expected = float(np.max(np.abs(np.linalg.eigvals(M))))
-        assert spectral_radius(M) == pytest.approx(expected, rel=1e-8)
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_radius([[1.0, -1.0], [0.0, 1.0]])
-
-    def test_near_tied_eigenvalues_k100(self):
-        # Close receivers make the two largest eigenvalues of I - A nearly
-        # tie; a power iteration returned 49419.8 on this instance.
-        from jpac.scenario import ScenarioConfig, generate
-
-        M = np.eye(100) - normalize(generate(ScenarioConfig(K=100, seed=3))).A
-        rho = spectral_radius(M)
-        # Gelfand's formula: ||M^(2^j)||^(1/2^j) -> rho, by repeated squaring.
-        P, log_rho = M, 0.0
-        for j in range(30):
-            norm = np.linalg.norm(P)
-            P = (P / norm) @ (P / norm)
-            log_rho += np.log(norm) / 2.0 ** j
-        assert rho == pytest.approx(np.exp(log_rho), rel=1e-6)
-        assert rho == pytest.approx(27304.9, rel=1e-5)
 
 
 class TestSelectAlpha:

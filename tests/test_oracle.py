@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jpac import kernel
-from jpac.admission import min_power_allocation
+from jpac.admission import admissible
 from jpac.network import NormalizedProblem, select_alpha
 from jpac.oracle import ENUMERATION_GUARD, LP_GUARD, enumerate_l0, estimate_qbar, lp_exact
 
@@ -35,9 +35,10 @@ class TestEnumerate:
             prob = random_problem(6, seed)
             prob = prob.with_alpha(select_alpha(prob))
             res = enumerate_l0(prob)
-            assert res.best_x == pytest.approx(
-                min_power_allocation(prob, list(res.best_support)), abs=1e-12
-            )
+            support = list(res.best_support)
+            x = np.zeros(6)
+            x[support] = admissible(prob, support)
+            assert res.best_x == pytest.approx(x, abs=1e-12)
             off = [k for k in range(6) if k not in res.best_support]
             resid = prob.b - prob.A @ res.best_x
             assert np.all(resid[off] > 1e-9)
