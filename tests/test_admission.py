@@ -62,6 +62,25 @@ class TestAdmissible:
         assert admissible(prob, [2, 0]) == pytest.approx([0.4, 0.4])
 
 
+class TestMinPowerAllocation:
+    """The minimum-power allocation of a set is the x_S that admissible returns."""
+
+    def test_three_link(self, three_link):
+        x = admissible(three_link, [1, 0])
+        assert x == pytest.approx([0.5, 0.5])
+        # Both targets are met with equality, and the fixed-point power
+        # control started from zero power reaches the same allocation.
+        assert three_link.A[:2, :2] @ x == pytest.approx(three_link.b[:2])
+        assert foschini_miljanic(three_link, [0, 1]) == pytest.approx(x)
+
+    def test_inadmissible_rejected(self, three_link):
+        # The only solution of A x = b is (-1, -1, -1.5): no nonnegative
+        # allocation exists, whatever order S is given in.
+        assert np.linalg.solve(three_link.A, three_link.b) == pytest.approx([-1.0, -1.0, -1.5])
+        for S in ([0, 1, 2], [2, 0, 1]):
+            assert admissible(three_link, S) is None
+
+
 class TestFoschiniMiljanic:
     def test_orthogonal_one_step(self):
         prob = _diag_problem(K=3, b=0.4)

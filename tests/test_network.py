@@ -6,6 +6,7 @@ import pytest
 from jpac.network import (
     NetworkInstance,
     NormalizedProblem,
+    m_matrix_solve,
     normalize,
     restrict,
     select_alpha,
@@ -75,6 +76,15 @@ class TestNormalize:
             off = prob.A - np.diag(np.diag(prob.A))
             assert np.all(off <= 0.0)
             assert np.all(prob.b > 0.0)
+
+
+class TestSpectralRadius:
+    def test_three_link_interference_block(self):
+        # rho(I - A3) = sqrt(2) >= 1, and the single M-matrix solve that
+        # stands in for the eigensolve reaches the same verdict.
+        rho = float(np.max(np.abs(np.linalg.eigvals(np.eye(3) - A3))))
+        assert rho == pytest.approx(np.sqrt(2.0))
+        assert m_matrix_solve(A3, B3).min() < 0.0
 
 
 class TestSelectAlpha:
