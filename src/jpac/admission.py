@@ -56,9 +56,12 @@ class AdmissionResult:
         })
 
 
-def _within_box(x: np.ndarray, atol: float = ADMISSIBLE_ATOL):
-    """-atol <= x <= 1 + atol along the last axis; a row holding NaN fails."""
-    return (x.min(axis=-1) >= -atol) & (x.max(axis=-1) <= 1.0 + atol)
+def _within_box(lo, hi, atol: float = ADMISSIBLE_ATOL):
+    """-atol <= lo and hi <= 1 + atol, for lo and hi the min and max of x.
+
+    Takes scalars (one x) or per-row arrays (a stack); NaN fails both tests.
+    """
+    return (lo >= -atol) & (hi <= 1.0 + atol)
 
 
 def admissible(problem: NormalizedProblem, S, atol: float = ADMISSIBLE_ATOL) -> np.ndarray | None:
@@ -74,9 +77,9 @@ def admissible(problem: NormalizedProblem, S, atol: float = ADMISSIBLE_ATOL) -> 
     if idx.size == 0:
         raise ValueError("S must be nonempty")
     x_s = m_matrix_solve(problem.A[idx[:, None], idx], problem.b[idx])
-    if not _within_box(x_s, atol):
+    if not _within_box(x_s.min(), x_s.max(), atol):
         return None
-    return np.clip(x_s, 0.0, 1.0)
+    return np.minimum(np.maximum(x_s, 0.0), 1.0)
 
 
 def foschini_miljanic(
@@ -166,7 +169,7 @@ def postprocess(problem: NormalizedProblem, admitted, removed) -> tuple[list[int
         idx = np.sort(np.column_stack([np.tile(np.asarray(current, dtype=int), (len(pending), 1)),
                                        pending]), axis=1)
         x = m_matrix_solve(problem.A[idx[:, :, None], idx[:, None, :]], problem.b[idx])
-        passed = np.flatnonzero(_within_box(x))
+        passed = np.flatnonzero(_within_box(x.min(axis=1), x.max(axis=1)))
         if passed.size == 0:
             break
         first = int(passed[0])

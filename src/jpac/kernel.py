@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,8 @@ MIN_POTENTIAL_DECREASE = 2.0 - math.sqrt(3.0)
 ITER_CAP_FACTOR = 10.0
 INIT_MARGIN = 1e-3  # random starts draw xi from [margin, 1 - margin]
 _W_FLOOR = 1e-280  # retire a start once a component nears the float64 range
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -202,8 +205,8 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
     factor with).  While any system fails the test, or hits an exactly zero
     LU pivot (possible once the condition number nears 1 / eps), every system
     gets a ridge of trace / m * 1e-12 and is tried again, at most 3 times.
-    Returns the solutions and the number of ridge retries (0 when the
-    systems solve as given).
+    Each retry is logged at DEBUG.  Returns the solutions and the number of
+    ridge retries (0 when the systems solve as given).
     """
     for attempt in range(4):
         try:
@@ -214,6 +217,8 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
                 raise
             m = normal.shape[-1]
             ridge = np.trace(normal, axis1=-2, axis2=-1) / m * 1e-12
+            logger.debug("normal solve failed on a batch of %d %dx%d systems; ridge retry %d of 3, "
+                         "ridge up to %.3g", ridge.size, m, m, attempt + 1, float(ridge.max()))
             normal = normal + ridge[..., None, None] * np.eye(m)
 
 
@@ -259,10 +264,15 @@ def _line_search(
     The candidates are t = STEP_BETA / ||g||, whose potential drop is at least
     2 - sqrt(3) while ||g|| > 1, and LINE_SEARCH_FRACTIONS of t_max, the
     distance to the boundary of w o (1 + t g) > 0.  Every candidate keeps
-    A~ w = b~ because A~ W g = 0.  Returns the new rows with their objective
-    and potential values.
+    A~ w = b~ because A~ W g = 0.  The log of the candidates is taken once:
+    it gives the barrier sum and, for q < 1, w2^q = exp(q log w2).  At q = 1
+    the objective is linear and sums w2 itself, with no rounding from exp and
+    log.  A candidate with a component <= 0 has a log of -inf or NaN, so its
+    potential is not finite and it is rejected.  Returns the new rows with
+    their objective and potential values.
     """
     n = W.shape[0]
+    k = problem.K
     g_min = g.min(axis=1)
     t = np.empty((n, 1 + LINE_SEARCH_FRACTIONS.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -270,9 +280,11 @@ def _line_search(
         # t_max = min over g_n < 0 of -1 / g_n
         t[:, 1:] = np.where(g_min < 0.0, -1.0 / g_min, np.inf)[:, None] * LINE_SEARCH_FRACTIONS
         cand = W[:, None, :] * (1.0 + t[:, :, None] * g[:, None, :])   # (N, C, 3K)
-        f = _batch_objective(cand, problem)
-        phi = rho * np.log(f) - np.log(cand).sum(axis=-1)
-    phi[~(np.isfinite(phi) & (cand > 0.0).all(axis=2))] = np.inf
+        log_cand = np.log(cand)
+        w2q = cand[..., k : 2 * k] if problem.q == 1.0 else np.exp(problem.q * log_cand[..., k : 2 * k])
+        f = cand[..., :k] @ problem.c_tilde + w2q.sum(axis=-1)
+        phi = rho * np.log(f) - log_cand.sum(axis=-1)
+    phi[~np.isfinite(phi)] = np.inf
     rows = np.arange(n)
     best = phi.argmin(axis=1)
     phi = phi[rows, best]

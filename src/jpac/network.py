@@ -11,11 +11,14 @@ on.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 SCHEMA_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 def _as_vector(v, k: int, name: str) -> np.ndarray:
@@ -214,8 +217,8 @@ def m_matrix_solve(A, b) -> np.ndarray:
     A^{-1} = sum_k (I - A)^k >= 0 (Berman & Plemmons, Nonnegative Matrices in
     the Mathematical Sciences, 1994, ch. 6).  So one column settles what
     the entrywise sign of A^{-1} or an eigensolve would.  A singular stack
-    member is solved alone and comes back as NaN, which fails every bound
-    test written as `x.min() >= lo`.
+    member is solved alone (logged at DEBUG) and comes back as NaN, which
+    fails every bound test written as `x.min() >= lo`.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -224,7 +227,10 @@ def m_matrix_solve(A, b) -> np.ndarray:
     except np.linalg.LinAlgError:
         if A.ndim == 2:
             return np.full(b.shape, np.nan)
-        return np.stack([m_matrix_solve(a, v) for a, v in zip(A, b)])
+        x = np.stack([m_matrix_solve(a, v) for a, v in zip(A, b)])
+        logger.debug("stack of %d %dx%d systems holds a singular matrix; solved each alone, "
+                     "%d singular", A.shape[0], A.shape[1], A.shape[2], int(np.isnan(x).any(axis=-1).sum()))
+        return x
 
 
 def select_alpha(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -41,39 +41,50 @@ class EnumerationResult:
 def enumerate_l0(problem: NormalizedProblem, zero_tol: float = 1e-9) -> EnumerationResult:
     """Global optimum of the thresholded-count objective by subset sweep.
 
-    Evaluates the minimum-power solution of every admissible subset (and
-    x = 0 for the empty set).  Ties break toward the larger support, then
-    the lower total power, then the lexicographically smallest set.
+    Tests every non-empty subset with one `admissible` call, in
+    `combinations` order by size, and scatters the minimum-power x_S of each
+    admissible subset into one row of an (n + 1, K) array whose row 0 is
+    x = 0 for the empty set.  Residual counts, powers and objectives are
+    then computed for all rows at once.  Ties break toward the larger
+    support, then the lower total power, then the lexicographically
+    smallest set; the support is unique when no other row comes within
+    1e-9 of the best objective.
     """
     if problem.alpha is None:
         raise ValueError("problem must have alpha set")
     k = problem.K
     if k > ENUMERATION_GUARD:
         raise ValueError(f"enumeration guarded to K <= {ENUMERATION_GUARD}")
-    alpha = problem.alpha
 
-    candidates: list[tuple[float, int, float, tuple[int, ...], np.ndarray]] = []
-    zero = np.zeros(k)
-    candidates.append((float(np.sum(problem.b > zero_tol)), 0, 0.0, (), zero))
+    # The admissible subsets and their x_S, the empty set first.
+    supports: list[tuple[int, ...]] = [()]
+    values: list[np.ndarray] = [np.zeros(0)]
     for size in range(1, k + 1):
         for S in combinations(range(k), size):
             x_s = admissible(problem, S)
-            if x_s is None:
-                continue
-            x = np.zeros(k)
-            x[list(S)] = x_s
-            resid = problem.b - problem.A @ x
-            power = float(problem.budgets @ x)
-            obj = float(np.sum(np.abs(resid) > zero_tol)) + alpha * power
-            candidates.append((obj, size, power, S, x))
+            if x_s is not None:
+                supports.append(S)
+                values.append(x_s)
 
-    best = min(candidates, key=lambda c: (c[0], -c[1], c[2], c[3]))
-    near = [c for c in candidates if c[0] <= best[0] + 1e-9 and c[3] != best[3]]
+    sizes = np.fromiter(map(len, supports), dtype=int, count=len(supports))
+    rows = np.repeat(np.arange(len(supports)), sizes)
+    cols = np.fromiter(chain.from_iterable(supports), dtype=int, count=rows.size)
+    X = np.zeros((len(supports), k))
+    X[rows, cols] = np.concatenate(values)
+    # Stacked products work one row at a time, so each row gets the same
+    # bits as A @ x and budgets @ x on that row alone.
+    resid = problem.b - (problem.A @ X[:, :, None])[:, :, 0]
+    power = (X[:, None, :] @ problem.budgets)[:, 0]
+    obj = np.count_nonzero(np.abs(resid) > zero_tol, axis=1) + problem.alpha * power
+
+    # lexsort is stable and rows are in combinations order, which is
+    # lexicographic within a size, so equal keys go to the smallest set.
+    best = int(np.lexsort((power, -sizes, obj))[0])
     return EnumerationResult(
-        best_support=best[3],
-        best_x=best[4],
-        objective=best[0],
-        is_unique_support=not near,
+        best_support=supports[best],
+        best_x=X[best].copy(),
+        objective=float(obj[best]),
+        is_unique_support=int(np.count_nonzero(obj <= obj[best] + 1e-9)) == 1,
     )
 
 

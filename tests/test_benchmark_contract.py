@@ -2,8 +2,9 @@
 
 perfbench/run.py reaches into jpac by module attribute, and the suite does
 not collect perfbench/, so an API change could break the benchmark
-unnoticed.  This imports the script and runs its own bindings and output
-checks on pool instance 0 of seed 3, the seed of perfbench/test_run.py.
+unnoticed.  This imports the script and runs its own bindings, output
+checks and trace completeness checks on pool instance 0 of seed 3, the
+seed of perfbench/test_run.py.
 """
 
 import importlib.util
@@ -46,3 +47,18 @@ def test_workload_answers_pass_checks(bench, workload):
     inst = bench.make_instance(wl, 0, np.random.SeedSequence(3).spawn(wl.pool + 1)[0])
     answers = wl.check(inst, wl.solve(inst))
     assert set(answers) == set(wl.answers)
+
+
+@pytest.mark.parametrize("workload", ["deflate-dense", "deflate-sparse", "compare-k10"])
+def test_traced_pass_is_complete(bench, workload):
+    # The counts the traced bindings see must equal the counts the program
+    # reports; on compare-k10 that includes 2^K - 1 oracle.admissible calls.
+    wl = bench.WORKLOADS[workload]
+    inst = bench.make_instance(wl, 0, np.random.SeedSequence(3).spawn(wl.pool + 1)[0])
+    tracer = bench.Tracer()
+    with tracer.installed(bench.BINDINGS):
+        run = bench.run_pool(wl, [inst], 0.0, tracer)
+    assert run.failed == 0
+    assert bench.completeness_errors(tracer, tracer.spans, wl, 1) == []
+    if "exact" in wl.answers:
+        assert len(tracer.named("oracle.admissible")) == 2 ** wl.K - 1

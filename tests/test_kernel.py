@@ -1,6 +1,7 @@
 """Interior-point kernel: slack assembly, potential reduction, certificates."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -209,6 +210,30 @@ class TestReductionStep:
         assert np.all(scaled <= 2.0 + 1e-8)
 
 
+class TestLineSearch:
+    @pytest.mark.parametrize("q", [0.1, 0.5, 1.0])
+    def test_rejects_candidate_past_the_boundary(self, q):
+        # With the true ||g|| the beta step stays inside (beta < 1 <= ||g|| /
+        # |g_min|), so a smaller norm is passed to push the beta candidate past
+        # the boundary: one component goes negative, its log is NaN, and only
+        # the finiteness test on phi can reject it.
+        prob = random_problem(4, 11)
+        aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
+        rho = kernel.SolverConfig().rho(aug.K, q)
+        W = kernel.interior_point_default(aug)[None, :]
+        g = np.linspace(-2.0, 1.0, W.shape[1])[None, :]
+        norm_g = np.array([0.05 * np.linalg.norm(g)])
+        assert (W * (1.0 + kernel.STEP_BETA / norm_g[:, None] * g)).min() < 0.0
+
+        w_new, f_new, phi_new = kernel._line_search(W, g, norm_g, aug, rho)
+        assert np.all(w_new > 0.0)
+        fractions = kernel.LINE_SEARCH_FRACTIONS * (-1.0 / g.min())
+        candidates = W * (1.0 + fractions[:, None] * g)
+        assert any(np.array_equal(w_new[0], c) for c in candidates)
+        assert f_new == pytest.approx(kernel._batch_objective(w_new, aug), rel=1e-12)
+        assert phi_new == pytest.approx(kernel._batch_potential(w_new, aug, rho), rel=1e-12)
+
+
 class TestProjectedDirection:
     def test_matches_lstsq_projection(self):
         # Reference: the residual of the SVD least-squares fit of u by the
@@ -239,15 +264,21 @@ class TestProjectedDirection:
 
 
 class TestSolveNormal:
-    def test_ridge_retry_on_singular_row(self):
+    def test_ridge_retry_on_singular_row(self, caplog):
         # A zero row and column make the second system singular, so the
         # batch fails to factor and is retried with a ridge on every system.
+        # The retry is logged; the first system alone solves without one.
         rng = np.random.default_rng(0)
         B = rng.standard_normal((4, 4))
         S = np.stack([B @ B.T + np.eye(4), np.diag([2.0, 0.0, 3.0, 1.0])])
         rhs = rng.standard_normal((2, 4))
-        sol, retries = kernel._solve_normal(S, rhs)
+        with caplog.at_level(logging.DEBUG, logger="jpac.kernel"):
+            assert kernel._solve_normal(S[:1], rhs[:1])[1] == 0
+            assert not caplog.records
+            sol, retries = kernel._solve_normal(S, rhs)
         assert retries == 1
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert "batch of 2 4x4 systems" in caplog.text and "ridge retry 1 of 3" in caplog.text
         assert sol[0] == pytest.approx(np.linalg.solve(S[0], rhs[0]), rel=1e-9)
         ridge = np.trace(S[1]) / 4 * 1e-12
         assert sol[1] == pytest.approx(np.linalg.solve(S[1] + ridge * np.eye(4), rhs[1]), rel=1e-9)

@@ -1,5 +1,7 @@
 """Channel model, normalization, alpha selection, and subset restriction."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,23 @@ class TestSpectralRadius:
         rho = float(np.max(np.abs(np.linalg.eigvals(np.eye(3) - A3))))
         assert rho == pytest.approx(np.sqrt(2.0))
         assert m_matrix_solve(A3, B3).min() < 0.0
+
+
+class TestMMatrixSolve:
+    def test_singular_stack_member_solved_alone_and_logged(self, caplog):
+        # One singular member fails the stacked solve; every member is then
+        # solved alone, the singular one comes back as NaN, and the fallback
+        # is logged.  A stack that solves as given logs nothing.
+        A = np.stack([[[1.0, -1.0], [-1.0, 1.0]], [[1.0, -0.5], [-0.5, 1.0]]])
+        b = np.full((2, 2), 0.5)
+        with caplog.at_level(logging.DEBUG, logger="jpac.network"):
+            m_matrix_solve(A[1:], b[1:])
+            assert not caplog.records
+            x = m_matrix_solve(A, b)
+        assert np.isnan(x[0]).all()
+        assert x[1] == pytest.approx(np.linalg.solve(A[1], b[1]), rel=1e-15)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert "stack of 2 2x2 systems" in caplog.text and "1 singular" in caplog.text
 
 
 class TestSelectAlpha:

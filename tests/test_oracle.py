@@ -1,20 +1,54 @@
 """Brute-force enumeration, exact LP oracle, and recovery-exponent search."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jpac import kernel
 from jpac.admission import admissible
-from jpac.network import NormalizedProblem, select_alpha
-from jpac.oracle import ENUMERATION_GUARD, LP_GUARD, enumerate_l0, estimate_qbar, lp_exact
+from jpac.network import NormalizedProblem, normalize, select_alpha
+from jpac.oracle import (ENUMERATION_GUARD, LP_GUARD, EnumerationResult, enumerate_l0,
+                         estimate_qbar, lp_exact)
+from jpac.scenario import ScenarioConfig, generate
 
 from conftest import ALPHA3, X3_STAR, random_problem
 
 
 def _diag_problem(K, b, alpha):
     return NormalizedProblem(A=np.eye(K), b=np.full(K, b), budgets=np.ones(K), alpha=alpha)
+
+
+def _ref_enumerate_l0(problem, zero_tol=1e-9):
+    """Per-subset loop: x, residual count, power and objective built for each subset."""
+    k = problem.K
+    candidates = [(float(np.sum(problem.b > zero_tol)), 0, 0.0, (), np.zeros(k))]
+    for size in range(1, k + 1):
+        for S in combinations(range(k), size):
+            x_s = admissible(problem, S)
+            if x_s is None:
+                continue
+            x = np.zeros(k)
+            x[list(S)] = x_s
+            resid = problem.b - problem.A @ x
+            power = float(problem.budgets @ x)
+            obj = float(np.sum(np.abs(resid) > zero_tol)) + problem.alpha * power
+            candidates.append((obj, size, power, S, x))
+    best = min(candidates, key=lambda c: (c[0], -c[1], c[2], c[3]))
+    near = [c for c in candidates if c[0] <= best[0] + 1e-9 and c[3] != best[3]]
+    return EnumerationResult(best_support=best[3], best_x=best[4], objective=best[0],
+                             is_unique_support=not near)
+
+
+def _assert_matches_reference(problem):
+    got, ref = enumerate_l0(problem), _ref_enumerate_l0(problem)
+    assert got.best_support == ref.best_support
+    assert got.is_unique_support == ref.is_unique_support
+    assert got.objective == pytest.approx(ref.objective, rel=0.0, abs=1e-12)
+    np.testing.assert_allclose(got.best_x, ref.best_x, rtol=0.0, atol=1e-15)
+    return got
 
 
 class TestEnumerate:
@@ -68,6 +102,41 @@ class TestEnumerate:
         doc = json.loads(enumerate_l0(three_link).to_json())
         assert doc["best_support"] == [0, 1]
         assert doc["objective"] == pytest.approx(1.0 + ALPHA3)
+
+
+class TestEnumerateReference:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8), scale=st.sampled_from([1.0, 0.707]))
+    def test_random_scenarios(self, seed, K, scale):
+        prob = normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=scale)))
+        _assert_matches_reference(prob.with_alpha(select_alpha(prob)))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(b=st.lists(st.sampled_from([1e-12, 0.25, 0.5, 1.5]) | st.floats(0.05, 1.5),
+                      min_size=1, max_size=8))
+    def test_orthogonal_links(self, b):
+        # Every link with b_k <= 1 is admissible against any set; one with
+        # b_k below zero_tol adds no residual count when silent, so leaving it
+        # out ties the optimum to within alpha * b_k.
+        K = len(b)
+        prob = NormalizedProblem(A=np.eye(K), b=b, budgets=np.ones(K))
+        res = _assert_matches_reference(prob.with_alpha(select_alpha(prob)))
+        assert res.best_support == tuple(k for k in range(K) if 1e-9 < b[k] <= 1.0)
+        assert res.is_unique_support == all(v > 1e-9 for v in b)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(K=st.integers(2, 7), c=st.floats(0.05, 0.6), b0=st.floats(0.01, 0.9))
+    def test_identical_links(self, K, c, b0):
+        # K copies of one link coupled by c: every subset of a size has the
+        # same x_S and the same objective, so the optimum is tied and the
+        # lexicographically smallest set of the largest admissible size wins.
+        A = np.full((K, K), -c)
+        np.fill_diagonal(A, 1.0)
+        prob = NormalizedProblem(A=A, b=np.full(K, b0), budgets=np.ones(K))
+        res = _assert_matches_reference(prob.with_alpha(select_alpha(prob)))
+        size = len(res.best_support)
+        assert res.best_support == tuple(range(size))
+        assert res.is_unique_support == (size in (0, K))
 
 
 class TestLpExact:
