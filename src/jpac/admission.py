@@ -56,15 +56,15 @@ class AdmissionResult:
         })
 
 
-def _within_box(lo, hi, atol: float = ADMISSIBLE_ATOL):
-    """-atol <= lo and hi <= 1 + atol, for lo and hi the min and max of x.
+def _within_box(lo, hi):
+    """-ADMISSIBLE_ATOL <= lo and hi <= 1 + ADMISSIBLE_ATOL, for lo and hi the min and max of x.
 
     Takes scalars (one x) or per-row arrays (a stack); NaN fails both tests.
     """
-    return (lo >= -atol) & (hi <= 1.0 + atol)
+    return (lo >= -ADMISSIBLE_ATOL) & (hi <= 1.0 + ADMISSIBLE_ATOL)
 
 
-def admissible(problem: NormalizedProblem, S, atol: float = ADMISSIBLE_ATOL) -> np.ndarray | None:
+def admissible(problem: NormalizedProblem, S) -> np.ndarray | None:
     """Minimum-power x_S if S is admissible, else None.
 
     S is admissible iff A_SS x = b_S has a solution inside [0, 1]^|S| (other
@@ -77,7 +77,7 @@ def admissible(problem: NormalizedProblem, S, atol: float = ADMISSIBLE_ATOL) -> 
     if idx.size == 0:
         raise ValueError("S must be nonempty")
     x_s = m_matrix_solve(problem.A[idx[:, None], idx], problem.b[idx])
-    if not _within_box(x_s.min(), x_s.max(), atol):
+    if not _within_box(x_s.min(), x_s.max()):
         return None
     return np.minimum(np.maximum(x_s, 0.0), 1.0)
 
@@ -196,8 +196,10 @@ def _deflate(
     stats = {"solver_calls": 0, "total_iterations": 0, "ridge_retries": 0, "terminations": {},
              "max_primal_residual": 0.0}
 
-    keep, removed_pre = preprocess(base)
-    for pos in removed_pre:
+    # keep and removed are positions of base; restrict keeps keep's ascending
+    # order, so position k0 of a round's subproblem is keep[k0].
+    keep, removed = preprocess(base)
+    for pos in removed:
         removal_trace.append({"link": int(base.link_ids[pos]), "stage": "preprocess"})
 
     round_idx = 0
@@ -219,14 +221,10 @@ def _deflate(
             "stage": "deflate",
             "round": round_idx,
         })
-        keep.pop(k0)
+        removed.append(keep.pop(k0))
         round_idx += 1
 
-    kept = set(keep)
-    removed_positions = [pos for pos in range(base.K) if pos not in kept]
-    removal_order = {rec["link"]: i for i, rec in enumerate(removal_trace)}
-    removed_positions.sort(key=lambda pos: removal_order[int(base.link_ids[pos])])
-    final, x_final = postprocess(base, keep, removed_positions)
+    final, x_final = postprocess(base, keep, removed)
     readmitted = sorted(int(base.link_ids[p]) for p in set(final) - set(keep))
 
     # The powers come from the solve that accepted the final set: the last
@@ -260,8 +258,8 @@ def run_lqmd(
 ) -> AdmissionResult:
     """Deflation with the non-convex lq power control from n_starts starts.
 
-    alpha is recomputed by the spectral-radius rule on every deflation
-    round's restricted problem.
+    alpha is recomputed by select_alpha on every deflation round's
+    restricted problem.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")

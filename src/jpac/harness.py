@@ -23,8 +23,6 @@ from .network import normalize, select_alpha
 from .oracle import enumerate_l0, estimate_qbar
 from .scenario import ScenarioConfig, generate
 
-ROW_FIELDS = ["experiment", "K", "q", "algorithm", "seed", "supported",
-              "power_mw", "runtime_ms", "match", "qbar", "error"]
 SUMMARY_FIELDS = ["experiment", "K", "q", "algorithm", "metric", "value"]
 
 
@@ -52,6 +50,12 @@ class ExperimentConfig:
             raise ValueError("all q must lie in (0, 1]")
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
+        if any(K < 1 for K in self.K_list):
+            raise ValueError("all K in K_list must be at least 1")
+        unknown = set(self.scenario) - {f.name for f in fields(ScenarioConfig)}
+        if unknown:
+            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+        ScenarioConfig(**_scenario_overrides(self.scenario), K=1)   # raises on a bad value
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -78,6 +82,9 @@ class MetricsRow:
     error: str | None = None
 
 
+ROW_FIELDS = [f.name for f in fields(MetricsRow)]
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -97,10 +104,13 @@ def _solver_seed(master: int, K: int, run: int) -> int:
     return int(np.random.SeedSequence(entropy=[master, K, run, 1]).generate_state(1)[0])
 
 
+def _scenario_overrides(scenario: dict) -> dict:
+    """The ScenarioConfig overrides of a config; K and seed come from the grid."""
+    return {name: value for name, value in scenario.items() if name not in ("K", "seed")}
+
+
 def _make_problem(config: ExperimentConfig, K: int, run: int, distance_scale: float = 1.0):
-    overrides = dict(config.scenario)
-    overrides.pop("K", None)
-    overrides.pop("seed", None)
+    overrides = _scenario_overrides(config.scenario)
     if distance_scale != 1.0:
         overrides["distance_scale"] = distance_scale
     scen = ScenarioConfig(K=K, seed=_instance_seed(config.seed, K, run), **overrides)
@@ -159,12 +169,8 @@ def _recover_qbar_cell(config, scfg, K, run) -> list[MetricsRow]:
 
 
 def _approx_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
-    try:
-        problem = _make_problem(config, K, run)
-        problem = problem.with_alpha(select_alpha(problem))
-    except Exception as exc:  # pragma: no cover
-        return [MetricsRow(config.experiment, K, None, algo, run, error=repr(exc))
-                for algo in ["benchmark", "l1"] + [f"lq{q:g}" for q in config.q_list]]
+    problem = _make_problem(config, K, run)
+    problem = problem.with_alpha(select_alpha(problem))
     bench = None
 
     def benchmark(row):
@@ -324,19 +330,17 @@ def _pair_by_seed(rows, K, algo_a, algo_b):
     return [(a[s], b[s]) for s in sorted(set(a) & set(b))]
 
 
-def rows_to_csv(rows: list[MetricsRow]) -> str:
+def _to_csv(header: list[str], records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROW_FIELDS)
-    for r in rows:
-        writer.writerow([_fmt(getattr(r, f)) for f in ROW_FIELDS])
+    writer.writerow(header)
+    writer.writerows([_fmt(rec[f]) for f in header] for rec in records)
     return buf.getvalue()
+
+
+def rows_to_csv(rows: list[MetricsRow]) -> str:
+    return _to_csv(ROW_FIELDS, map(vars, rows))
 
 
 def summary_to_csv(records: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_FIELDS)
-    for rec in records:
-        writer.writerow([_fmt(rec[f]) for f in SUMMARY_FIELDS])
-    return buf.getvalue()
+    return _to_csv(SUMMARY_FIELDS, records)

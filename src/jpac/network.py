@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 SCHEMA_VERSION = 1
+ALPHA_FRACTION = 0.2   # select_alpha returns this share of alpha1 = 1 / sum(pbar)
 
 logger = logging.getLogger(__name__)
 
@@ -233,31 +234,15 @@ def m_matrix_solve(A, b) -> np.ndarray:
         return x
 
 
-def select_alpha(
-    normalized: NormalizedProblem,
-    c1: float = 0.2,
-    c2: float = 0.2,
-    c3: float = 4.0,
-    alpha2: float | None = None,
-) -> float:
-    """Power-weight selection rule driven by the spectral radius of I - A.
+def select_alpha(normalized: NormalizedProblem) -> float:
+    """Power weight alpha = ALPHA_FRACTION * alpha1 = 0.2 / sum(pbar).
 
-    Returns c1 * alpha1 when rho(I - A) >= 1.  Below 1, returns
-    min(c2 * alpha1, c3 * alpha2) when an alpha2 override is supplied and
-    c2 * alpha1 otherwise (the alpha2 bound lives in prior work and is
-    accepted here only as a pluggable parameter).  rho(I - A) < 1 is
-    decided as "A x = b has a solution x >= 0" (see m_matrix_solve).
+    The paper's rule, c1 * alpha1 when rho(I - A) >= 1 and otherwise
+    min(c2 * alpha1, c3 * alpha2), reduces to this one product: c1 = c2 =
+    0.2, and the alpha2 bound of the LP-deflation work (Liu, Dai & Luo, IEEE
+    TSP 61(6), 2013) is not implemented, so both branches give 0.2 * alpha1.
     """
-    if not (0.0 < c1 < 1.0 and 0.0 < c2 < 1.0):
-        raise ValueError("c1 and c2 must lie in (0, 1)")
-    if c3 <= c2:
-        raise ValueError("c3 must exceed c2")
-    alpha1 = normalized.alpha1
-    if not m_matrix_solve(normalized.A, normalized.b).min() >= 0.0:   # rho(I - A) >= 1
-        return c1 * alpha1
-    if alpha2 is not None:
-        return min(c2 * alpha1, c3 * alpha2)
-    return c2 * alpha1
+    return ALPHA_FRACTION * normalized.alpha1
 
 
 def restrict(normalized: NormalizedProblem, S) -> NormalizedProblem:

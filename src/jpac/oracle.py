@@ -20,6 +20,7 @@ from .network import NormalizedProblem, select_alpha
 
 ENUMERATION_GUARD = 20
 LP_GUARD = 8
+ZERO_TOL = 1e-9   # enumerate_l0 counts a link as served when |b - A x|_k <= ZERO_TOL
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class EnumerationResult:
         })
 
 
-def enumerate_l0(problem: NormalizedProblem, zero_tol: float = 1e-9) -> EnumerationResult:
+def enumerate_l0(problem: NormalizedProblem) -> EnumerationResult:
     """Global optimum of the thresholded-count objective by subset sweep.
 
     Tests every non-empty subset with one `admissible` call, in
@@ -75,7 +76,7 @@ def enumerate_l0(problem: NormalizedProblem, zero_tol: float = 1e-9) -> Enumerat
     # bits as A @ x and budgets @ x on that row alone.
     resid = problem.b - (problem.A @ X[:, :, None])[:, :, 0]
     power = (X[:, None, :] @ problem.budgets)[:, 0]
-    obj = np.count_nonzero(np.abs(resid) > zero_tol, axis=1) + problem.alpha * power
+    obj = np.count_nonzero(np.abs(resid) > ZERO_TOL, axis=1) + problem.alpha * power
 
     # lexsort is stable and rows are in combinations order, which is
     # lexicographic within a size, so equal keys go to the smallest set.

@@ -8,6 +8,7 @@ import pytest
 
 from jpac.cli import main
 from jpac.harness import (
+    EXPERIMENTS,
     ROW_FIELDS,
     SUMMARY_FIELDS,
     ExperimentConfig,
@@ -197,16 +198,26 @@ class TestCli:
         # One record per start and iterate, the returned one included.
         assert len(records) == stats["total_iterations"] + stats["solver_calls"]
 
-    @pytest.mark.parametrize("field,value", [("q_list", []), ("n_starts", 0)])
-    def test_experiment_config_error_exit_code(self, tmp_path, capsys, field, value):
-        # Unchecked, an empty q_list would crash on q_list[0] and n_starts = 0
-        # would surface only as error rows and exit 2.
-        cfg = {"experiment": "deflate-compare", "K_list": [4], "runs": 1, field: value}
+    @pytest.mark.parametrize("experiment,override,name", [
+        pytest.param("deflate-compare", {"q_list": []}, "q_list", id="q_list-value0"),
+        pytest.param("deflate-compare", {"n_starts": 0}, "n_starts", id="n_starts-0"),
+    ] + [
+        pytest.param(experiment, override, name, id=f"{experiment}-{name}")
+        for experiment in EXPERIMENTS
+        for override, name in [({"scenario": {"bogus": 1}}, "bogus"),
+                               ({"scenario": {"rx_radius": -1}}, "rx_radius"),
+                               ({"K_list": [0]}, "K_list")]
+    ])
+    def test_experiment_config_error_exit_code(self, tmp_path, capsys, experiment, override, name):
+        # Unchecked, an empty q_list would crash on q_list[0], and the other
+        # values would surface per cell: as error rows and exit 2, or as an
+        # uncaught TypeError from ScenarioConfig.
+        cfg = {"experiment": experiment, "K_list": [4], "runs": 1, **override}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
-        assert field in capsys.readouterr().err
-        assert not (tmp_path / "deflate-compare_rows.csv").exists()
+        assert name in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -5,7 +5,10 @@ x = A_SS^{-1} b_S with x >= 0 certifies a nonsingular M-matrix.  Each test
 here keeps the older, longer formulation as the reference:
 
 - admissible: the identity-column solve that also checks A_SS^{-1} >= 0;
-- select_alpha: the dense eigensolve rho(I - A) >= 1 (_ref_spectral_radius);
+- the full-set solve that admissible runs on S = all links: the dense
+  eigensolve rho(I - A) >= 1 (_ref_spectral_radius).  select_alpha no
+  longer reads that verdict; the same tests pin that it returns
+  0.2 * alpha1 under both verdicts;
 - postprocess: the sequential loop, repeated until a pass admits nothing;
 - preprocess: the loop that re-slices A after every removal.
 """
@@ -18,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from jpac import admission
 from jpac.admission import admissible, postprocess, preprocess, run_lqmd
-from jpac.network import NormalizedProblem, normalize, select_alpha
+from jpac.network import NormalizedProblem, m_matrix_solve, normalize, select_alpha
 from jpac.scenario import ScenarioConfig, generate
 
 DENSITIES = st.sampled_from([1.0, 0.707])
@@ -85,8 +88,8 @@ def _ref_preprocess(problem):
 
 
 def _high_interference(problem) -> bool:
-    """select_alpha's branch, read off with c2 != c1."""
-    return select_alpha(problem, c1=0.2, c2=0.1) == pytest.approx(0.2 * problem.alpha1, rel=1e-15)
+    """rho(I - A) >= 1, read off the full-set solve: no x >= 0 solves A x = b."""
+    return not m_matrix_solve(problem.A, problem.b).min() >= 0.0
 
 
 def _orthogonal(b) -> NormalizedProblem:
@@ -132,6 +135,7 @@ class TestSelectAlphaEquivalence:
             prob = _scenario(K, seed)
             expected = _ref_spectral_radius(np.eye(K) - prob.A) >= 1.0
             assert _high_interference(prob) == expected, seed
+            assert select_alpha(prob) == 0.2 * prob.alpha1, seed
             verdicts.append(expected)
         if K == 5:
             assert not all(verdicts)
@@ -141,9 +145,9 @@ class TestSelectAlphaEquivalence:
     def test_matches_on_lqmd_round_subproblems(self, monkeypatch):
         seen = []
 
-        def recording(problem, *args, **kwargs):
+        def recording(problem):
             seen.append(problem)
-            return select_alpha(problem, *args, **kwargs)
+            return select_alpha(problem)
 
         monkeypatch.setattr(admission, "select_alpha", recording)
         for seed in range(4):
@@ -152,6 +156,7 @@ class TestSelectAlphaEquivalence:
         assert len(rounds) >= 8
         verdicts = [_ref_spectral_radius(np.eye(p.K) - p.A) >= 1.0 for p in seen]
         assert [_high_interference(p) for p in seen] == verdicts
+        assert all(select_alpha(p) == 0.2 * p.alpha1 for p in seen)
         assert any(verdicts) and not all(verdicts)
 
     def test_near_tied_eigenvalues_k100(self):
@@ -169,10 +174,12 @@ class TestSelectAlphaEquivalence:
         assert rho == pytest.approx(np.exp(log_rho), rel=1e-6)
         assert rho == pytest.approx(27304.9, rel=1e-5)
         assert _high_interference(prob)
+        assert select_alpha(prob) == 0.2 * prob.alpha1
 
     def test_singular_counts_as_high_interference(self):
         prob = NormalizedProblem(A=[[1.0, -1.0], [-1.0, 1.0]], b=[0.5, 0.5], budgets=[1.0, 1.0])
         assert _high_interference(prob)
+        assert select_alpha(prob) == 0.2 * prob.alpha1
 
 
 class TestPostprocessEquivalence:

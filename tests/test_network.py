@@ -108,30 +108,18 @@ class TestMMatrixSolve:
 
 class TestSelectAlpha:
     def test_three_link_high_interference_branch(self, three_link_no_alpha):
-        # rho(I - A) = sqrt(2) >= 1, so alpha = c1 * alpha1 = 0.2 / 3.
+        # alpha = 0.2 * alpha1 = 0.2 / 3, here with rho(I - A) = sqrt(2) >= 1.
         assert select_alpha(three_link_no_alpha) == pytest.approx(1.0 / 15.0)
 
     def test_single_link_fallback_branch(self):
         prob = NormalizedProblem(A=[[1.0]], b=[0.5], budgets=[1.0])
         assert select_alpha(prob) == pytest.approx(0.2)
 
-    def test_alpha2_override(self):
-        prob = NormalizedProblem(A=[[1.0]], b=[0.5], budgets=[1.0])
-        assert select_alpha(prob, alpha2=0.01) == pytest.approx(0.04)
-        assert select_alpha(prob, alpha2=10.0) == pytest.approx(0.2)
-
     def test_output_always_in_bounds(self):
         for seed in range(10):
             prob = random_problem(5, seed)
             a = select_alpha(prob)
             assert 0.0 < a < prob.alpha1
-
-    def test_invalid_constants(self):
-        prob = NormalizedProblem(A=[[1.0]], b=[0.5], budgets=[1.0])
-        with pytest.raises(ValueError):
-            select_alpha(prob, c1=1.5)
-        with pytest.raises(ValueError):
-            select_alpha(prob, c3=0.1)
 
 
 class TestRestrict:
