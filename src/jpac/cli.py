@@ -26,6 +26,8 @@ def _load_instance(path: str) -> NetworkInstance:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 0:
+        raise ValueError("--count must be nonnegative")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     import numpy as np

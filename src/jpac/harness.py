@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -42,6 +43,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        # JSON gives any value any type; a wrong one must fail here, by name,
+        # not as a TypeError deep inside a run.
+        for name in ("runs", "n_starts", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        if not _is_real(self.epsilon):
+            raise ValueError("epsilon must be a number")
+        if not isinstance(self.output_path, str):
+            raise ValueError("output_path must be a string")
+        if not isinstance(self.K_list, list) or not all(map(_is_int, self.K_list)):
+            raise ValueError("K_list must be a list of integers")
+        if not isinstance(self.q_list, list) or not all(map(_is_real, self.q_list)):
+            raise ValueError("q_list must be a list of numbers")
+        if not isinstance(self.scenario, dict):
+            raise ValueError("scenario must be an object of ScenarioConfig overrides")
+        not_numbers = sorted(name for name, value in self.scenario.items() if not _is_real(value))
+        if not_numbers:
+            raise ValueError(f"scenario fields must be numbers: {not_numbers}")
         if self.runs < 0:
             raise ValueError("runs must be nonnegative")
         if not self.q_list:
@@ -60,11 +79,23 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        if "experiment" not in doc:
+            raise ValueError(f"config must name an experiment; choose from {EXPERIMENTS}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**doc)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

@@ -15,9 +15,8 @@ Schur system
 
     (A Diag(d1 d3 / (d1 + d3)) A^T + D2) lambda_1 = r1 - A (d1 / (d1 + d3) o r2)
 
-and lambda_2 = (r2 - d1 o A^T lambda_1) / (d1 + d3).  A Cholesky factorization
-serves as the definiteness test (a failure triggers a ridge retry) and the
-system itself is solved by one LU solve, numpy having no triangular solve.  The
+and lambda_2 = (r2 - d1 o A^T lambda_1) / (d1 + d3).  Each step is one LU
+solve of that system; an exactly zero pivot triggers a ridge retry.  The
 iteration then line-searches the potential
 
     phi(w) = rho * log f(w) - sum_n log w_n
@@ -198,19 +197,16 @@ def _batch_potential(W: np.ndarray, problem: AugmentedProblem, rho: float) -> np
 
 
 def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve the batched SPD systems normal x = rhs, with ridge retries.
+    """Solve the batched SPD systems normal x = rhs: one LU solve, with ridge retries.
 
-    np.linalg.cholesky is the definiteness test, and the systems are then
-    solved by one LU solve (numpy has no triangular solve to reuse the
-    factor with).  While any system fails the test, or hits an exactly zero
-    LU pivot (possible once the condition number nears 1 / eps), every system
-    gets a ridge of trace / m * 1e-12 and is tried again, at most 3 times.
-    Each retry is logged at DEBUG.  Returns the solutions and the number of
-    ridge retries (0 when the systems solve as given).
+    While any system hits an exactly zero LU pivot (possible once the
+    condition number nears 1 / eps), every system gets a ridge of trace / m *
+    1e-12 and is solved again, at most 3 times.  Each retry is logged at
+    DEBUG.  Returns the solutions and the number of ridge retries (0 when the
+    systems solve as given).
     """
     for attempt in range(4):
         try:
-            np.linalg.cholesky(normal)
             return np.linalg.solve(normal, rhs[..., None])[..., 0], attempt
         except np.linalg.LinAlgError:
             if attempt == 3:

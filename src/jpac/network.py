@@ -90,8 +90,14 @@ class NetworkInstance:
     @classmethod
     def from_json(cls, text: str) -> "NetworkInstance":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("instance must be a JSON object")
         if doc.get("version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {doc.get('version')!r}")
+        missing = [name for name in ("gains", "noise_w", "sinr_targets_linear", "budgets_w")
+                   if name not in doc]
+        if missing:
+            raise ValueError(f"instance is missing fields: {missing}")
         geometry = doc.get("geometry")
         if geometry is not None:
             geometry = {k: np.asarray(v, dtype=float) for k, v in geometry.items()}
@@ -158,31 +164,6 @@ class NormalizedProblem:
 
     def with_alpha(self, alpha: float) -> "NormalizedProblem":
         return replace(self, alpha=float(alpha))
-
-    def to_json(self) -> str:
-        doc = {
-            "version": SCHEMA_VERSION,
-            "K": self.K,
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "budgets_w": self.budgets.tolist(),
-            "alpha": self.alpha,
-            "link_ids": list(self.link_ids),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalizedProblem":
-        doc = json.loads(text)
-        if doc.get("version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {doc.get('version')!r}")
-        return cls(
-            A=doc["A"],
-            b=doc["b"],
-            budgets=doc["budgets_w"],
-            alpha=doc.get("alpha"),
-            link_ids=tuple(doc.get("link_ids") or ()),
-        )
 
 
 def sinr(instance: NetworkInstance, p) -> np.ndarray:

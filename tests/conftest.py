@@ -53,6 +53,25 @@ def random_problem(K: int, seed: int) -> NormalizedProblem:
     return normalize(generate(ScenarioConfig(K=K, seed=seed)))
 
 
+def fail_first_schur_solve(monkeypatch) -> None:
+    """Make the first stacked np.linalg.solve raise LinAlgError, as at a zero LU pivot.
+
+    The kernel solves its Schur systems as an (N, K, K) stack, while the
+    admissibility test solves one K x K system, so only the kernel's first
+    solve fails.
+    """
+    solve = np.linalg.solve
+    failed = []
+
+    def failing_once(a, b):
+        if np.ndim(a) == 3 and not failed:
+            failed.append(a)
+            raise np.linalg.LinAlgError("forced")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_once)
+
+
 # Verdict lines recorded by the acceptance tests; echoed after the run so
 # they survive output capture.
 ACCEPTANCE_LINES: list[str] = []

@@ -21,7 +21,7 @@ from jpac.network import NormalizedProblem, normalize, restrict, select_alpha, s
 from jpac.oracle import enumerate_l0
 from jpac.scenario import ScenarioConfig, generate
 
-from conftest import random_problem
+from conftest import fail_first_schur_solve, random_problem
 
 
 def _diag_problem(K=2, b=0.5, alpha=None):
@@ -224,23 +224,14 @@ class TestRunLqmd:
         assert result.removal_trace == [{"link": 0, "stage": "deflate", "round": 0}]
 
     def test_stats_count_retries_and_terminations(self, monkeypatch):
-        # Fail the first Cholesky test of the run: each start of that first
+        # Fail the first Schur solve of the run: each start of that first
         # lockstep batch is charged one ridge retry.
         prob = random_problem(16, 2)   # two deflation rounds
         config = kernel.SolverConfig(epsilon=1e-6)
         clean = run_lqmd(prob, q=0.5, n_starts=3, config=config)
         assert clean.stats["solver_calls"] == 6 and clean.stats["ridge_retries"] == 0
         assert clean.stats["terminations"] == {kernel.EPS_KKT: 6}
-        cholesky = np.linalg.cholesky
-        calls = []
-
-        def failing_once(a):
-            calls.append(1)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+        fail_first_schur_solve(monkeypatch)
         res = run_lqmd(prob, q=0.5, n_starts=3, config=config)
         assert res.stats["ridge_retries"] == 3
         assert sum(res.stats["terminations"].values()) == res.stats["solver_calls"]

@@ -25,6 +25,11 @@ def _row(algorithm, seed, supported, power=10.0, K=4, experiment="deflate-compar
                       algorithm, seed, supported=supported, power_mw=power)
 
 
+def _config(experiment, **override):
+    """A one-cell experiment config document with the given fields replaced."""
+    return {"experiment": experiment, "K_list": [4], "runs": 1, **override}
+
+
 def _value(summary, metric, **keys):
     hits = [r["value"] for r in summary
             if r["metric"] == metric and all(r[k] == v for k, v in keys.items())]
@@ -161,6 +166,22 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert "best_support" in doc
 
+    def test_instance_missing_field_exit_code(self, tmp_path, capsys):
+        main(["generate", "--K", "3", "--seed", "1", "--out", str(tmp_path)])
+        capsys.readouterr()
+        path = next(tmp_path.glob("*.json"))
+        doc = json.loads(path.read_text())
+        del doc["budgets_w"]
+        path.write_text(json.dumps(doc))
+        for argv in (["solve", "--algo", "nlpd"], ["enumerate"], ["recover-qbar", "--n", "2"]):
+            assert main(argv + ["--instance", str(path)]) == 1
+            assert "budgets_w" in capsys.readouterr().err
+
+    def test_generate_negative_count_exit_code(self, tmp_path, capsys):
+        assert main(["generate", "--K", "3", "--count", "-1", "--out", str(tmp_path / "inst")]) == 1
+        assert "--count" in capsys.readouterr().err
+        assert not (tmp_path / "inst").exists()
+
     def test_recover_qbar(self, tmp_path, capsys):
         out = tmp_path / "inst"
         main(["generate", "--K", "3", "--seed", "1", "--out", str(out)])
@@ -198,23 +219,33 @@ class TestCli:
         # One record per start and iterate, the returned one included.
         assert len(records) == stats["total_iterations"] + stats["solver_calls"]
 
-    @pytest.mark.parametrize("experiment,override,name", [
-        pytest.param("deflate-compare", {"q_list": []}, "q_list", id="q_list-value0"),
-        pytest.param("deflate-compare", {"n_starts": 0}, "n_starts", id="n_starts-0"),
+    @pytest.mark.parametrize("doc,name", [
+        pytest.param(_config("deflate-compare", q_list=[]), "q_list", id="q_list-value0"),
+        pytest.param(_config("deflate-compare", n_starts=0), "n_starts", id="n_starts-0"),
     ] + [
-        pytest.param(experiment, override, name, id=f"{experiment}-{name}")
+        pytest.param(_config(experiment, **override), name, id=f"{experiment}-{name}")
         for experiment in EXPERIMENTS
         for override, name in [({"scenario": {"bogus": 1}}, "bogus"),
                                ({"scenario": {"rx_radius": -1}}, "rx_radius"),
                                ({"K_list": [0]}, "K_list")]
+    ] + [
+        # Wrongly typed values and documents.
+        pytest.param(_config("deflate-compare", scenario={"rx_radius": "400"}), "rx_radius",
+                     id="rx_radius-str"),
+        pytest.param(_config("deflate-compare", K_list=["4"]), "K_list", id="K_list-str"),
+        pytest.param(_config("deflate-compare", K_list=4), "K_list", id="K_list-int"),
+        pytest.param(_config("deflate-compare", K_list=[4.5]), "K_list", id="K_list-float"),
+        pytest.param(_config("deflate-compare", runs="1"), "runs", id="runs-str"),
+        pytest.param(_config("deflate-compare", q_list=["0.5"]), "q_list", id="q_list-str"),
+        pytest.param({}, "experiment", id="no-experiment"),
+        pytest.param([], "object", id="not-an-object"),
     ])
-    def test_experiment_config_error_exit_code(self, tmp_path, capsys, experiment, override, name):
-        # Unchecked, an empty q_list would crash on q_list[0], and the other
-        # values would surface per cell: as error rows and exit 2, or as an
-        # uncaught TypeError from ScenarioConfig.
-        cfg = {"experiment": experiment, "K_list": [4], "runs": 1, **override}
+    def test_experiment_config_error_exit_code(self, tmp_path, capsys, doc, name):
+        # Unchecked, an empty q_list would crash on q_list[0], a wrongly typed
+        # value would raise a TypeError, and the other values would surface
+        # per cell as error rows and exit 2.
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(doc))
         assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         assert name in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))

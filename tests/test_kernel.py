@@ -10,7 +10,7 @@ import pytest
 from jpac import kernel
 from jpac.network import NormalizedProblem, select_alpha
 
-from conftest import ALPHA3, X3_STAR, random_problem
+from conftest import ALPHA3, X3_STAR, fail_first_schur_solve, random_problem
 
 
 def _grad_f(W, aug):
@@ -284,9 +284,9 @@ class TestSolveNormal:
         assert sol[1] == pytest.approx(np.linalg.solve(S[1] + ridge * np.eye(4), rhs[1]), rel=1e-9)
 
     def test_ridge_retry_on_zero_lu_pivot(self, monkeypatch):
-        # The LU solve can meet an exactly zero pivot in a system that passed
-        # the Cholesky test (seen at condition numbers near 1 / eps); that
-        # takes a ridge retry too.
+        # The LU solve can meet an exactly zero pivot in a positive definite
+        # system (seen at condition numbers near 1 / eps); that takes a ridge
+        # retry.
         solve = np.linalg.solve
         calls = []
 
@@ -308,23 +308,35 @@ class TestSolveNormal:
             assert sol[n] == pytest.approx(solve(S[n] + ridge * np.eye(4), rhs[n]), rel=1e-9)
 
     def test_retries_reach_certificates(self, aug3, monkeypatch):
-        # Fail the first factorization of the solve; every start in that
-        # lockstep batch is charged one retry, later steps none.
-        cholesky = np.linalg.cholesky
-        calls = []
-
-        def failing_once(a):
-            calls.append(1)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(a)
-
+        # Fail the first Schur solve; every start in that lockstep batch is
+        # charged one retry, later steps none.
         config = kernel.SolverConfig(epsilon=1e-4)
         clean = kernel.multistart_solve(aug3, config, n_starts=3, seed=0)
         assert [c.ridge_retries for c in clean.certificates] == [0, 0, 0]
-        monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+        fail_first_schur_solve(monkeypatch)
         res = kernel.multistart_solve(aug3, config, n_starts=3, seed=0)
         assert [c.ridge_retries for c in res.certificates] == [1, 1, 1]
+
+    def test_one_lu_solve_per_step(self, monkeypatch):
+        # One batched LU solve and no Cholesky factorization per lockstep
+        # direction: one per step taken, plus the one the last start retires at.
+        counts = {"solve": 0, "cholesky": 0}
+
+        def counting(name):
+            inner = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        prob = random_problem(12, 3)
+        aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=0.5)
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        res = kernel.multistart_solve(aug, kernel.SolverConfig(epsilon=1e-6), n_starts=4, seed=0)
+        iterations = [c.iterations for c in res.certificates]
+        assert counts == {"solve": max(iterations) + 1, "cholesky": 0}
 
 
 def _batch_case(K, q, seed, n_starts=6):

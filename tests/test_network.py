@@ -1,5 +1,6 @@
 """Channel model, normalization, alpha selection, and subset restriction."""
 
+import json
 import logging
 
 import numpy as np
@@ -206,16 +207,8 @@ class TestSerialization:
         assert back.gains == pytest.approx(inst.gains, rel=1e-15)
         assert back.geometry["tx_m"] == pytest.approx(inst.geometry["tx_m"])
 
-    def test_problem_round_trip(self, three_link):
-        back = NormalizedProblem.from_json(three_link.to_json())
-        assert back.A == pytest.approx(three_link.A)
-        assert back.alpha == three_link.alpha
-        assert back.link_ids == three_link.link_ids
-
-    def test_bad_version_rejected(self, three_link):
-        import json
-
-        doc = json.loads(three_link.to_json())
+    def test_bad_version_rejected(self, three_link_instance):
+        doc = json.loads(three_link_instance.to_json())
         doc["version"] = 99
         with pytest.raises(ValueError):
-            NormalizedProblem.from_json(json.dumps(doc))
+            NetworkInstance.from_json(json.dumps(doc))
