@@ -58,9 +58,6 @@ class ExperimentConfig:
             raise ValueError("q_list must be a list of numbers")
         if not isinstance(self.scenario, dict):
             raise ValueError("scenario must be an object of ScenarioConfig overrides")
-        not_numbers = sorted(name for name, value in self.scenario.items() if not _is_real(value))
-        if not_numbers:
-            raise ValueError(f"scenario fields must be numbers: {not_numbers}")
         if self.runs < 0:
             raise ValueError("runs must be nonnegative")
         if not self.q_list:
@@ -74,7 +71,12 @@ class ExperimentConfig:
         unknown = set(self.scenario) - {f.name for f in fields(ScenarioConfig)}
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        ScenarioConfig(**_scenario_overrides(self.scenario), K=1)   # raises on a bad value
+        from_grid = sorted(set(self.scenario) & {"K", "seed"})
+        if from_grid:
+            raise ValueError(f"scenario must not set {from_grid}: the grid sets K and seed")
+        if self.experiment == "scaling-ratio" and "distance_scale" in self.scenario:
+            raise ValueError("scenario must not set distance_scale: scaling-ratio sets it per setup")
+        ScenarioConfig(K=1, **self.scenario)   # raises on a bad value
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -135,18 +137,10 @@ def _solver_seed(master: int, K: int, run: int) -> int:
     return int(np.random.SeedSequence(entropy=[master, K, run, 1]).generate_state(1)[0])
 
 
-def _scenario_overrides(scenario: dict) -> dict:
-    """The ScenarioConfig overrides of a config; K and seed come from the grid."""
-    return {name: value for name, value in scenario.items() if name not in ("K", "seed")}
-
-
-def _make_problem(config: ExperimentConfig, K: int, run: int, distance_scale: float = 1.0):
-    overrides = _scenario_overrides(config.scenario)
-    if distance_scale != 1.0:
-        overrides["distance_scale"] = distance_scale
-    scen = ScenarioConfig(K=K, seed=_instance_seed(config.seed, K, run), **overrides)
-    instance = generate(scen)
-    return normalize(instance)
+def _make_problem(config: ExperimentConfig, K: int, run: int, **changes):
+    """The normalized instance of one grid cell; changes are the cell's own ScenarioConfig fields."""
+    scen = ScenarioConfig(K=K, seed=_instance_seed(config.seed, K, run), **config.scenario, **changes)
+    return normalize(generate(scen))
 
 
 def _revalidated_support(problem, x, support) -> int:
@@ -280,6 +274,15 @@ _CELLS = {
 EXPERIMENTS = tuple(_CELLS)
 
 
+# (summary metric, MetricsRow field) of each per-group mean, in record order.
+_GROUP_MEANS = (
+    ("mean_supported", "supported"),
+    ("mean_power_mw", "power_mw"),
+    ("match_rate", "match"),
+    ("mean_qbar", "qbar"),
+)
+
+
 def summarize(rows: list[MetricsRow]) -> list[dict]:
     """Aggregate records for the rows of a single experiment."""
     experiments = {r.experiment for r in rows}
@@ -303,18 +306,10 @@ def summarize(rows: list[MetricsRow]) -> list[dict]:
         groups.setdefault((r.K, r.q, r.algorithm), []).append(r)
     for (K, q, algorithm), grp in sorted(groups.items(), key=lambda kv: (
             kv[0][0], kv[0][1] if kv[0][1] is not None else -1.0, kv[0][2])):
-        supported = [r.supported for r in grp if r.supported is not None]
-        power = [r.power_mw for r in grp if r.power_mw is not None]
-        if supported:
-            add(K, q, algorithm, "mean_supported", float(np.mean(supported)))
-        if power:
-            add(K, q, algorithm, "mean_power_mw", float(np.mean(power)))
-        matches = [r.match for r in grp if r.match is not None]
-        if matches:
-            add(K, q, algorithm, "match_rate", float(np.mean(matches)))
-        qbars = [r.qbar for r in grp if r.qbar is not None]
-        if qbars:
-            add(K, q, algorithm, "mean_qbar", float(np.mean(qbars)))
+        for metric, name in _GROUP_MEANS:
+            values = [getattr(r, name) for r in grp if getattr(r, name) is not None]
+            if values:
+                add(K, q, algorithm, metric, float(np.mean(values)))
 
     if experiment == "deflate-compare":
         for K in sorted({r.K for r in good}):
@@ -330,16 +325,13 @@ def summarize(rows: list[MetricsRow]) -> list[dict]:
                 add(K, None, "nlpd", "mean_power_mw_equal", float(np.mean([b.power_mw for _, b in equal])))
 
     if experiment == "q-sensitivity":
-        for K in sorted({r.K for r in good}):
-            by_q = {r.q: [] for r in good if r.K == K}
-            for r in good:
-                if r.K == K and r.supported is not None:
-                    by_q[r.q].append(r.supported)
-            means = {q: float(np.mean(v)) for q, v in by_q.items() if v}
-            if means:
-                best = max(means.values())
-                for q, mean in sorted(means.items()):
-                    add(K, q, None, "supported_deficit", mean - best)
+        # One lqmd algorithm per q, so each mean_supported record is one q's mean.
+        means = [rec for rec in records if rec["metric"] == "mean_supported"]
+        for K in sorted({rec["K"] for rec in means}):
+            at_K = [rec for rec in means if rec["K"] == K]
+            best = max(rec["value"] for rec in at_K)
+            for rec in at_K:
+                add(K, rec["q"], None, "supported_deficit", rec["value"] - best)
 
     if experiment == "scaling-ratio":
         for K in sorted({r.K for r in good}):

@@ -309,13 +309,9 @@ def _certificate(
     )
 
 
-@dataclass
-class _StartResult:
-    w: np.ndarray
-    certificate: KktCertificate
-
-
-def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray) -> list[_StartResult]:
+def _solve_batch(
+    problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray
+) -> list[tuple[np.ndarray, KktCertificate]]:
     """Run the potential-reduction iteration from each row of W0.
 
     A start retires as eps-optimal once phi <= threshold, and as eps-KKT at
@@ -323,8 +319,10 @@ def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray
     componentwise bound behind the certificate (module docstring); ||g||
     sets the beta step and the trace record only.  The batch holds the
     active starts only: a start that stops is written to its result and its
-    row is dropped from every per-row array.  With config.trace_path set, one
-    JSON line per start and iteration is appended to that file.
+    row is dropped from every per-row array.  Every start retires by the
+    iteration cap at the latest, so the result is one (w, certificate) pair
+    per start, in start order.  With config.trace_path set, one JSON line per
+    start and iteration is appended to that file.
     """
     n_starts = W0.shape[0]
     k = problem.K
@@ -340,11 +338,11 @@ def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray
     f = _batch_objective(W, problem)
     phi = _batch_potential(W, problem, rho)
     retries = 0
-    results: list[_StartResult | None] = [None] * n_starts
+    results = [None] * n_starts
 
     def retire(row, termination):
         w = W[row].copy()
-        results[start[row]] = _StartResult(w=w, certificate=_certificate(
+        results[start[row]] = (w, _certificate(
             problem, config, w, lam[row], resid[row], f[row], termination, it, retries))
 
     trace = open(config.trace_path, "a") if config.trace_path else contextlib.nullcontext()
@@ -386,7 +384,7 @@ def _solve_batch(problem: AugmentedProblem, config: SolverConfig, W0: np.ndarray
                 start, W_new, f_new, phi_new = (a[keep] for a in (start, W_new, f_new, phi_new))
             W, f, phi = W_new, f_new, phi_new
 
-    return [r for r in results if r is not None]
+    return results
 
 
 def solve_potential_reduction(
@@ -396,8 +394,7 @@ def solve_potential_reduction(
     w_init = np.asarray(w_init, dtype=float)
     if np.any(w_init <= 0):
         raise ValueError("w_init must be strictly positive")
-    res = _solve_batch(problem, config, w_init[None, :])[0]
-    return res.w, res.certificate
+    return _solve_batch(problem, config, w_init[None, :])[0]
 
 
 def round_to_power(
@@ -444,10 +441,10 @@ def multistart_solve(
 
     best = None
     best_key = None
-    for idx, res in enumerate(results):
-        if res.certificate.termination in (ITERATION_CAP, UNDERFLOW):
+    for idx, (w, cert) in enumerate(results):
+        if cert.termination in (ITERATION_CAP, UNDERFLOW):
             continue
-        x, support = round_to_power(res.w, problem, config.zero_tol)
+        x, support = round_to_power(w, problem, config.zero_tol)
         power_term = float(problem.c_tilde @ x)
         score = (k - len(support)) + power_term
         key = (score, power_term, idx)
@@ -461,7 +458,7 @@ def multistart_solve(
         x=x,
         support=support,
         score=score,
-        certificates=[r.certificate for r in results],
+        certificates=[cert for _, cert in results],
         best_start=idx,
-        total_iterations=int(sum(r.certificate.iterations for r in results)),
+        total_iterations=int(sum(cert.iterations for _, cert in results)),
     )

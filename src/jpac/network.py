@@ -100,6 +100,8 @@ class NetworkInstance:
             raise ValueError(f"instance is missing fields: {missing}")
         geometry = doc.get("geometry")
         if geometry is not None:
+            if not isinstance(geometry, dict):
+                raise ValueError("geometry must be an object of coordinate arrays")
             geometry = {k: np.asarray(v, dtype=float) for k, v in geometry.items()}
         return cls(
             gains=doc["gains"],

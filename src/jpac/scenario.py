@@ -9,7 +9,9 @@ few downstream checks rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +41,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                      or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.K < 1:
             raise ValueError("K must be at least 1")
         for name in ("square_side", "rx_radius", "pathloss_exponent", "budget_multiplier"):

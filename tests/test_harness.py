@@ -171,11 +171,16 @@ class TestCli:
         capsys.readouterr()
         path = next(tmp_path.glob("*.json"))
         doc = json.loads(path.read_text())
-        del doc["budgets_w"]
+        budgets = doc.pop("budgets_w")
         path.write_text(json.dumps(doc))
         for argv in (["solve", "--algo", "nlpd"], ["enumerate"], ["recover-qbar", "--n", "2"]):
             assert main(argv + ["--instance", str(path)]) == 1
             assert "budgets_w" in capsys.readouterr().err
+        doc["budgets_w"] = budgets
+        doc["geometry"] = [1, 2]
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--algo", "nlpd", "--instance", str(path)]) == 1
+        assert "geometry" in capsys.readouterr().err
 
     def test_generate_negative_count_exit_code(self, tmp_path, capsys):
         assert main(["generate", "--K", "3", "--count", "-1", "--out", str(tmp_path / "inst")]) == 1
@@ -239,6 +244,15 @@ class TestCli:
         pytest.param(_config("deflate-compare", q_list=["0.5"]), "q_list", id="q_list-str"),
         pytest.param({}, "experiment", id="no-experiment"),
         pytest.param([], "object", id="not-an-object"),
+        # Non-finite values, fields the grid sets, and scaling-ratio's own scale.
+        pytest.param(_config("deflate-compare", scenario={"rx_radius": float("nan")}), "rx_radius",
+                     id="rx_radius-nan"),
+        pytest.param(_config("deflate-compare", scenario={"noise_dbm": float("inf")}), "noise_dbm",
+                     id="noise_dbm-inf"),
+        pytest.param(_config("deflate-compare", scenario={"K": 50}), "['K']", id="scenario-K"),
+        pytest.param(_config("deflate-compare", scenario={"seed": 3}), "seed", id="scenario-seed"),
+        pytest.param(_config("scaling-ratio", scenario={"distance_scale": 0.707}), "distance_scale",
+                     id="scaling-ratio-distance_scale"),
     ])
     def test_experiment_config_error_exit_code(self, tmp_path, capsys, doc, name):
         # Unchecked, an empty q_list would crash on q_list[0], a wrongly typed
@@ -256,4 +270,5 @@ class TestCli:
         assert main(["experiment", "--config", str(bad)]) == 1
         assert main(["solve", "--instance", str(tmp_path / "missing.json"),
                      "--algo", "nlpd"]) == 1
+        assert main(["solve", "--instance", str(tmp_path), "--algo", "nlpd"]) == 1
         capsys.readouterr()

@@ -351,24 +351,24 @@ def _batch_case(K, q, seed, n_starts=6):
 
 def _assert_matches_single_starts(aug, config, starts, results):
     # Each start's batch result is the one it reaches alone.
-    for w0, res in zip(starts, results):
+    for w0, (batch_w, batch_cert) in zip(starts, results):
         w, cert = kernel.solve_potential_reduction(aug, config, w0)
-        assert res.certificate.termination == cert.termination
-        assert res.certificate.iterations == cert.iterations
-        assert (kernel.round_to_power(res.w, aug, config.zero_tol)[1]
+        assert batch_cert.termination == cert.termination
+        assert batch_cert.iterations == cert.iterations
+        assert (kernel.round_to_power(batch_w, aug, config.zero_tol)[1]
                 == kernel.round_to_power(w, aug, config.zero_tol)[1])
-        assert np.max(np.abs(res.w - w)) <= 1e-6
+        assert np.max(np.abs(batch_w - w)) <= 1e-6
 
 
 def _assert_carried_values_match(aug, config, results):
     # The objective and multipliers on each certificate belong to the
     # returned iterate, not to a row the batch held before it was compacted.
     rho = config.rho(aug.K, aug.q)
-    for res in results:
-        f = kernel._batch_objective(res.w[None, :], aug)
-        assert res.certificate.f_value == pytest.approx(f[0], rel=1e-12)
-        lam, _, _, _, _ = kernel._projected_direction(res.w[None, :], f, aug, rho)
-        assert res.certificate.lam == pytest.approx(lam[0], rel=1e-9, abs=1e-12 * np.max(np.abs(lam)))
+    for w, cert in results:
+        f = kernel._batch_objective(w[None, :], aug)
+        assert cert.f_value == pytest.approx(f[0], rel=1e-12)
+        lam, _, _, _, _ = kernel._projected_direction(w[None, :], f, aug, rho)
+        assert cert.lam == pytest.approx(lam[0], rel=1e-9, abs=1e-12 * np.max(np.abs(lam)))
 
 
 class TestLockstepBatch:
@@ -379,7 +379,7 @@ class TestLockstepBatch:
             for j, q in enumerate((0.1, 0.5, 1.0)):
                 aug, starts = _batch_case(K, q, 700 + 3 * i + j)
                 results = kernel._solve_batch(aug, config, starts)
-                assert len({r.certificate.iterations for r in results}) > 1
+                assert len({cert.iterations for _, cert in results}) > 1
                 _assert_matches_single_starts(aug, config, starts, results)
 
     def test_carried_values_at_eps_kkt(self, tmp_path):
@@ -387,8 +387,8 @@ class TestLockstepBatch:
         config = kernel.SolverConfig(epsilon=1e-6, trace_path=str(path))
         aug, starts = _batch_case(8, 0.1, 703)
         results = kernel._solve_batch(aug, config, starts)
-        assert {r.certificate.termination for r in results} == {kernel.EPS_KKT}
-        assert len({r.certificate.iterations for r in results}) > 1
+        assert {cert.termination for _, cert in results} == {kernel.EPS_KKT}
+        assert len({cert.iterations for _, cert in results}) > 1
         _assert_carried_values_match(aug, config, results)
         # The last traced potential of each start is that of its returned iterate.
         last = {}
@@ -396,18 +396,18 @@ class TestLockstepBatch:
             rec = json.loads(line)
             last[rec["start"]] = rec["phi"]
         rho = config.rho(aug.K, aug.q)
-        for idx, res in enumerate(results):
-            assert last[idx] == pytest.approx(kernel._batch_potential(res.w[None, :], aug, rho)[0], rel=1e-12)
+        for idx, (w, _) in enumerate(results):
+            assert last[idx] == pytest.approx(kernel._batch_potential(w[None, :], aug, rho)[0], rel=1e-12)
 
     def test_carried_values_at_iteration_cap(self):
         aug, starts = _batch_case(8, 0.1, 703, n_starts=3)
         free = kernel._solve_batch(aug, kernel.SolverConfig(epsilon=1e-6), starts)
-        iterations = [r.certificate.iterations for r in free]
+        iterations = [cert.iterations for _, cert in free]
         assert min(iterations) < max(iterations)
         # The cap lets the faster starts finish and stops the slowest.
         config = kernel.SolverConfig(epsilon=1e-6, iter_cap_abs=max(iterations) - 1)
         results = kernel._solve_batch(aug, config, starts)
-        assert [r.certificate.termination for r in results] == [
+        assert [cert.termination for _, cert in results] == [
             kernel.ITERATION_CAP if n == max(iterations) else kernel.EPS_KKT for n in iterations]
         _assert_carried_values_match(aug, config, results)
         _assert_matches_single_starts(aug, config, starts, results)
@@ -424,8 +424,8 @@ class TestLockstepBatch:
         aug, starts = _batch_case(K, q, seed)
         results = kernel._solve_batch(aug, config, starts)
         by_term = {}
-        for r in results:
-            by_term.setdefault(r.certificate.termination, set()).add(r.certificate.iterations)
+        for _, cert in results:
+            by_term.setdefault(cert.termination, set()).add(cert.iterations)
         assert len(by_term[kernel.UNDERFLOW]) > 1
         if mixed:
             assert by_term[kernel.EPS_KKT] & by_term[kernel.UNDERFLOW]

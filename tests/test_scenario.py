@@ -75,3 +75,9 @@ def test_invalid_config():
         ScenarioConfig(K=3, distance_scale=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(K=3, rx_radius=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "400"])
+def test_rejects_non_finite_or_non_number_field(value):
+    with pytest.raises(ValueError, match="rx_radius"):
+        ScenarioConfig(K=4, rx_radius=value)
