@@ -82,19 +82,15 @@ def admissible(problem: NormalizedProblem, S) -> np.ndarray | None:
     return np.minimum(np.maximum(x_s, 0.0), 1.0)
 
 
-def foschini_miljanic(
-    problem: NormalizedProblem, S, x0=None, tol: float = 1e-12, max_iter: int = 100_000
-) -> np.ndarray:
-    """Fixed-point power control x+ = b_S + (I - A)_SS x on an admissible S."""
+def foschini_miljanic(problem: NormalizedProblem, S) -> np.ndarray:
+    """Fixed-point power control x+ = b_S + (I - A)_SS x from x = 0, on an admissible S."""
     idx = np.asarray(sorted(S), dtype=int)
     b_s = problem.b[idx]
     B = np.eye(idx.size) - problem.A[np.ix_(idx, idx)]
-    x = np.zeros(idx.size) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if np.any(x < 0):
-        raise ValueError("x0 must be nonnegative")
-    for _ in range(max_iter):
+    x = np.zeros(idx.size)
+    for _ in range(100_000):
         x_next = b_s + B @ x
-        if np.max(np.abs(x_next - x)) <= tol:
+        if np.max(np.abs(x_next - x)) <= 1e-12:
             return x_next
         x = x_next
     raise RuntimeError("fixed-point iteration did not converge (set numerically marginal)")

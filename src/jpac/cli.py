@@ -9,6 +9,7 @@ error, 2 when any experiment row failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -72,13 +73,10 @@ def _cmd_recover_qbar(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_json(Path(args.config).read_text())
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.runs is not None:
-        config.runs = args.runs
-    if args.out is not None:
-        config.output_path = args.out
+    overrides = {"seed": args.seed, "runs": args.runs, "output_path": args.out}
+    # replace re-runs ExperimentConfig's checks on the overridden values.
+    config = dataclasses.replace(ExperimentConfig.from_json(Path(args.config).read_text()),
+                                 **{k: v for k, v in overrides.items() if v is not None})
     out = Path(config.output_path)
     out.mkdir(parents=True, exist_ok=True)
     rows, summary = run_experiment(config)

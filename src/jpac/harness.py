@@ -60,8 +60,12 @@ class ExperimentConfig:
             raise ValueError("scenario must be an object of ScenarioConfig overrides")
         if self.runs < 0:
             raise ValueError("runs must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.q_list:
             raise ValueError("q_list must not be empty")
+        if self.experiment in ("deflate-compare", "scaling-ratio") and len(self.q_list) > 1:
+            raise ValueError(f"{self.experiment} runs one q: q_list must hold one value")
         if any(not (0.0 < q <= 1.0) for q in self.q_list):
             raise ValueError("all q must lie in (0, 1]")
         if self.n_starts < 1:

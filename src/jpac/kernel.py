@@ -46,6 +46,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,6 +64,8 @@ LINE_SEARCH_FRACTIONS = np.array([0.3, 0.5, 0.7, 0.9, 0.99])
 # beta - beta^2 / (2 (1 - beta)) at beta = STEP_BETA.
 MIN_POTENTIAL_DECREASE = 2.0 - math.sqrt(3.0)
 ITER_CAP_FACTOR = 10.0
+ITER_CAP_ABS = 100_000  # no start takes more steps, whatever iter_cap's formula gives
+SUPPORT_TOL = 1e-6  # a link is supported when [b - A x]_k <= SUPPORT_TOL
 INIT_MARGIN = 1e-3  # random starts draw xi from [margin, 1 - margin]
 _W_FLOOR = 1e-280  # retire a start once a component nears the float64 range
 
@@ -135,18 +138,13 @@ class KktCertificate:
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-4
-    iter_cap_abs: int = 100_000
-    zero_tol: float = 1e-6        # support-detection threshold on b - A x
     trace_path: str | None = None
+    zero_tol: ClassVar[float] = SUPPORT_TOL   # readable as config.zero_tol, not settable
 
     def __post_init__(self):
-        # NaN fails every comparison, so the float tests reject it too.
+        # NaN fails every comparison, so the test rejects it too.
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.iter_cap_abs < 0:
-            raise ValueError("iter_cap_abs must be nonnegative")
-        if not (0.0 <= self.zero_tol < math.inf):
-            raise ValueError("zero_tol must be finite and nonnegative")
 
     def rho(self, K: int, q: float) -> float:
         # rho >= 6K/eps certifies the eps-KKT gap; rho > K/q is needed by
@@ -155,7 +153,7 @@ class SolverConfig:
 
     def iter_cap(self, K: int, q: float) -> int:
         cap = ITER_CAP_FACTOR * (K / min(self.epsilon, q)) * math.log(1.0 / self.epsilon)
-        return int(min(max(cap, 1.0), self.iter_cap_abs))
+        return int(min(max(cap, 1.0), ITER_CAP_ABS))
 
 
 def augment(normalized: NormalizedProblem, q: float = 1.0) -> AugmentedProblem:
@@ -398,7 +396,7 @@ def solve_potential_reduction(
 
 
 def round_to_power(
-    w: np.ndarray, problem: AugmentedProblem, zero_tol: float = 1e-6
+    w: np.ndarray, problem: AugmentedProblem, zero_tol: float = SUPPORT_TOL
 ) -> tuple[np.ndarray, list[int]]:
     """Map an iterate back to x in [0, 1]^K and its supported-link set."""
     k = problem.K
@@ -424,7 +422,7 @@ def multistart_solve(
     """Best of the default start plus n_starts - 1 random interior starts.
 
     Each rounded solution is scored by the thresholded l0 objective
-    #{k: [b - A x]_k > zero_tol} + alpha pbar^T x; ties break by the lower
+    #{k: [b - A x]_k > SUPPORT_TOL} + alpha pbar^T x; ties break by the lower
     power term and then the lower start index.  Starts that hit the
     iteration cap or underflow are skipped (at least one start must
     terminate cleanly).
@@ -444,7 +442,7 @@ def multistart_solve(
     for idx, (w, cert) in enumerate(results):
         if cert.termination in (ITERATION_CAP, UNDERFLOW):
             continue
-        x, support = round_to_power(w, problem, config.zero_tol)
+        x, support = round_to_power(w, problem)
         power_term = float(problem.c_tilde @ x)
         score = (k - len(support)) + power_term
         key = (score, power_term, idx)

@@ -21,6 +21,8 @@ from .network import NormalizedProblem, select_alpha
 ENUMERATION_GUARD = 20
 LP_GUARD = 8
 ZERO_TOL = 1e-9   # enumerate_l0 counts a link as served when |b - A x|_k <= ZERO_TOL
+# estimate_qbar's exponents 0.01, 0.02, ..., 1.00, ascending.
+QBAR_GRID = tuple(float(q) for q in np.round(np.arange(0.01, 1.0 + 1e-12, 0.01), 10))
 
 
 @dataclass(frozen=True)
@@ -130,28 +132,22 @@ def lp_exact(problem: NormalizedProblem) -> np.ndarray:
 def estimate_qbar(
     problem: NormalizedProblem,
     n_starts: int = 100,
-    Q=None,
     config: kernel.SolverConfig | None = None,
     seed: int = 0,
 ) -> tuple[float, str]:
-    """Largest grid exponent whose multistart solution matches the enumeration.
+    """Largest QBAR_GRID exponent whose multistart solution matches the enumeration.
 
     Walks the grid from the largest q down; a match requires equal support
     sets and an infinity-norm power gap of at most 1e-3.  Returns (0.0,
     "failure") when the grid is exhausted.
     """
-    if Q is None:
-        Q = np.round(np.arange(0.01, 1.0 + 1e-12, 0.01), 10)
-    Q = sorted(float(q) for q in Q)
-    if not Q:
-        raise ValueError("Q must be nonempty")
     config = config or kernel.SolverConfig()
 
     work = problem.with_alpha(select_alpha(problem))
     exact = enumerate_l0(work)
     exact_support = set(exact.best_support)
 
-    for q in reversed(Q):
+    for q in reversed(QBAR_GRID):
         aug = kernel.augment(work, q=q)
         try:
             res = kernel.multistart_solve(aug, config, n_starts, seed)

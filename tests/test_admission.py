@@ -102,10 +102,6 @@ class TestFoschiniMiljanic:
                 assert np.max(np.abs(fm - direct)) <= 1e-8
         assert hits >= 20
 
-    def test_negative_start_rejected(self, three_link):
-        with pytest.raises(ValueError):
-            foschini_miljanic(three_link, [0, 1], x0=[-0.1, 0.0])
-
 
 class TestNecessaryCondition:
     def test_three_link_false(self, three_link):

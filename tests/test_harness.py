@@ -30,6 +30,11 @@ def _config(experiment, **override):
     return {"experiment": experiment, "K_list": [4], "runs": 1, **override}
 
 
+def _cli_case(doc, name, id, args=()):
+    """An experiment config document, the name its error must give, and extra argv."""
+    return pytest.param(doc, name, list(args), id=id)
+
+
 def _value(summary, metric, **keys):
     hits = [r["value"] for r in summary
             if r["metric"] == metric and all(r[k] == v for k, v in keys.items())]
@@ -224,45 +229,54 @@ class TestCli:
         # One record per start and iterate, the returned one included.
         assert len(records) == stats["total_iterations"] + stats["solver_calls"]
 
-    @pytest.mark.parametrize("doc,name", [
-        pytest.param(_config("deflate-compare", q_list=[]), "q_list", id="q_list-value0"),
-        pytest.param(_config("deflate-compare", n_starts=0), "n_starts", id="n_starts-0"),
+    @pytest.mark.parametrize("doc,name,args", [
+        _cli_case(_config("deflate-compare", q_list=[]), "q_list", "q_list-value0"),
+        _cli_case(_config("deflate-compare", n_starts=0), "n_starts", "n_starts-0"),
     ] + [
-        pytest.param(_config(experiment, **override), name, id=f"{experiment}-{name}")
+        _cli_case(_config(experiment, **override), name, f"{experiment}-{name}")
         for experiment in EXPERIMENTS
         for override, name in [({"scenario": {"bogus": 1}}, "bogus"),
                                ({"scenario": {"rx_radius": -1}}, "rx_radius"),
                                ({"K_list": [0]}, "K_list")]
     ] + [
         # Wrongly typed values and documents.
-        pytest.param(_config("deflate-compare", scenario={"rx_radius": "400"}), "rx_radius",
-                     id="rx_radius-str"),
-        pytest.param(_config("deflate-compare", K_list=["4"]), "K_list", id="K_list-str"),
-        pytest.param(_config("deflate-compare", K_list=4), "K_list", id="K_list-int"),
-        pytest.param(_config("deflate-compare", K_list=[4.5]), "K_list", id="K_list-float"),
-        pytest.param(_config("deflate-compare", runs="1"), "runs", id="runs-str"),
-        pytest.param(_config("deflate-compare", q_list=["0.5"]), "q_list", id="q_list-str"),
-        pytest.param({}, "experiment", id="no-experiment"),
-        pytest.param([], "object", id="not-an-object"),
+        _cli_case(_config("deflate-compare", scenario={"rx_radius": "400"}), "rx_radius",
+                  "rx_radius-str"),
+        _cli_case(_config("deflate-compare", K_list=["4"]), "K_list", "K_list-str"),
+        _cli_case(_config("deflate-compare", K_list=4), "K_list", "K_list-int"),
+        _cli_case(_config("deflate-compare", K_list=[4.5]), "K_list", "K_list-float"),
+        _cli_case(_config("deflate-compare", runs="1"), "runs", "runs-str"),
+        _cli_case(_config("deflate-compare", q_list=["0.5"]), "q_list", "q_list-str"),
+        _cli_case({}, "experiment", "no-experiment"),
+        _cli_case([], "object", "not-an-object"),
         # Non-finite values, fields the grid sets, and scaling-ratio's own scale.
-        pytest.param(_config("deflate-compare", scenario={"rx_radius": float("nan")}), "rx_radius",
-                     id="rx_radius-nan"),
-        pytest.param(_config("deflate-compare", scenario={"noise_dbm": float("inf")}), "noise_dbm",
-                     id="noise_dbm-inf"),
-        pytest.param(_config("deflate-compare", scenario={"K": 50}), "['K']", id="scenario-K"),
-        pytest.param(_config("deflate-compare", scenario={"seed": 3}), "seed", id="scenario-seed"),
-        pytest.param(_config("scaling-ratio", scenario={"distance_scale": 0.707}), "distance_scale",
-                     id="scaling-ratio-distance_scale"),
+        _cli_case(_config("deflate-compare", scenario={"rx_radius": float("nan")}), "rx_radius",
+                  "rx_radius-nan"),
+        _cli_case(_config("deflate-compare", scenario={"noise_dbm": float("inf")}), "noise_dbm",
+                  "noise_dbm-inf"),
+        _cli_case(_config("deflate-compare", scenario={"K": 50}), "['K']", "scenario-K"),
+        _cli_case(_config("deflate-compare", scenario={"seed": 3}), "seed", "scenario-seed"),
+        _cli_case(_config("scaling-ratio", scenario={"distance_scale": 0.707}), "distance_scale",
+                  "scaling-ratio-distance_scale"),
+        # A negative seed, and a second q for the experiments that run q_list[0] only.
+        _cli_case(_config("deflate-compare", seed=-1), "seed", "seed--1"),
+        _cli_case(_config("deflate-compare", q_list=[0.3, 0.7]), "q_list", "deflate-compare-q_list"),
+        _cli_case(_config("scaling-ratio", q_list=[0.3, 0.7]), "q_list", "scaling-ratio-q_list"),
+        # Command-line overrides of a valid config get the same checks.
+        _cli_case(_config("deflate-compare"), "runs", "argv-runs--1", ["--runs", "-1"]),
+        _cli_case(_config("deflate-compare"), "seed", "argv-seed--1", ["--seed", "-1"]),
     ])
-    def test_experiment_config_error_exit_code(self, tmp_path, capsys, doc, name):
+    def test_experiment_config_error_exit_code(self, tmp_path, capsys, doc, name, args):
         # Unchecked, an empty q_list would crash on q_list[0], a wrongly typed
-        # value would raise a TypeError, and the other values would surface
-        # per cell as error rows and exit 2.
+        # value would raise a TypeError, a second q would be ignored, and the
+        # other values would surface per cell as error rows and exit 2 (or,
+        # for runs, as empty CSVs and exit 0).
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
-        assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out), *args]) == 1
         assert name in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

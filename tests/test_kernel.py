@@ -160,7 +160,7 @@ class TestInteriorPoints:
 
 
 class TestReductionStep:
-    def test_step_no_worse_than_beta_step(self, aug3):
+    def test_step_no_worse_than_beta_step(self, aug3, monkeypatch):
         # The radius-beta step along the projected direction, computed by
         # hand, is one of the line-search candidates.
         config = kernel.SolverConfig()
@@ -174,13 +174,14 @@ class TestReductionStep:
         w_beta = w * (1.0 + (kernel.STEP_BETA / np.linalg.norm(g)) * g)
         phi_beta = kernel._batch_potential(w_beta[None, :], aug3, rho)[0]
 
-        new, cert = kernel.solve_potential_reduction(aug3, kernel.SolverConfig(iter_cap_abs=1), w)
+        monkeypatch.setattr(kernel, "ITER_CAP_ABS", 1)
+        new, cert = kernel.solve_potential_reduction(aug3, kernel.SolverConfig(), w)
         assert cert.termination == kernel.ITERATION_CAP and cert.iterations == 1
         assert kernel._batch_potential(new[None, :], aug3, rho)[0] <= phi_beta + 1e-12
         assert np.all(new > 0.0)
         assert np.max(np.abs(aug3.A_tilde @ new - aug3.b_tilde)) <= 1e-10
 
-    def test_potential_decrease_and_feasibility(self, tmp_path):
+    def test_potential_decrease_and_feasibility(self, tmp_path, monkeypatch):
         for seed in range(5):
             prob = random_problem(5, seed)
             prob = prob.with_alpha(0.2 * prob.alpha1)
@@ -194,8 +195,9 @@ class TestReductionStep:
                 assert b <= a - kernel.MIN_POTENTIAL_DECREASE + 1e-9
             # The iterate after j steps is the one returned at an iteration cap of j.
             for j in range(1, cert.iterations + 1):
-                capped = kernel.SolverConfig(epsilon=1e-3, iter_cap_abs=j)
-                w, _ = kernel.solve_potential_reduction(aug, capped, w0)
+                with monkeypatch.context() as m:
+                    m.setattr(kernel, "ITER_CAP_ABS", j)
+                    w, _ = kernel.solve_potential_reduction(aug, kernel.SolverConfig(epsilon=1e-3), w0)
                 assert np.max(np.abs(aug.A_tilde @ w - aug.b_tilde)) <= 1e-10
                 assert np.all(w > 0.0)
 
@@ -399,13 +401,14 @@ class TestLockstepBatch:
         for idx, (w, _) in enumerate(results):
             assert last[idx] == pytest.approx(kernel._batch_potential(w[None, :], aug, rho)[0], rel=1e-12)
 
-    def test_carried_values_at_iteration_cap(self):
+    def test_carried_values_at_iteration_cap(self, monkeypatch):
         aug, starts = _batch_case(8, 0.1, 703, n_starts=3)
         free = kernel._solve_batch(aug, kernel.SolverConfig(epsilon=1e-6), starts)
         iterations = [cert.iterations for _, cert in free]
         assert min(iterations) < max(iterations)
         # The cap lets the faster starts finish and stops the slowest.
-        config = kernel.SolverConfig(epsilon=1e-6, iter_cap_abs=max(iterations) - 1)
+        config = kernel.SolverConfig(epsilon=1e-6)
+        monkeypatch.setattr(kernel, "ITER_CAP_ABS", max(iterations) - 1)
         results = kernel._solve_batch(aug, config, starts)
         assert [cert.termination for _, cert in results] == [
             kernel.ITERATION_CAP if n == max(iterations) else kernel.EPS_KKT for n in iterations]
@@ -473,8 +476,9 @@ class TestSolve:
             expected = np.max(np.abs(problem.A_tilde @ w - problem.b_tilde))
             assert cert.primal_residual == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
-    def test_iteration_cap_termination(self, aug3):
-        config = kernel.SolverConfig(epsilon=1e-4, iter_cap_abs=3)
+    def test_iteration_cap_termination(self, aug3, monkeypatch):
+        monkeypatch.setattr(kernel, "ITER_CAP_ABS", 3)
+        config = kernel.SolverConfig(epsilon=1e-4)
         w, cert = kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))
         assert cert.termination == kernel.ITERATION_CAP
         assert cert.iterations == 3
@@ -519,7 +523,7 @@ class TestSolve:
                 worst = min([worst] + [a - b for a, b in zip(phis, phis[1:])])
         assert worst >= kernel.MIN_POTENTIAL_DECREASE - 1e-9
 
-    def test_stops_at_first_componentwise_kkt_point(self):
+    def test_stops_at_first_componentwise_kkt_point(self, monkeypatch):
         # A start retires as eps-KKT at the first iterate whose projected
         # direction has max|g_n| <= 1: the returned iterate passes the test
         # and the iterate one step earlier fails it.
@@ -534,8 +538,9 @@ class TestSolve:
                 assert cert.termination == kernel.EPS_KKT
                 g = kernel._projected_direction(w[None, :], np.array([cert.f_value]), aug, rho)[2]
                 assert np.max(np.abs(g)) <= 1.0
-                capped = kernel.SolverConfig(epsilon=1e-6, iter_cap_abs=cert.iterations - 1)
-                w_prev, prev = kernel.solve_potential_reduction(aug, capped, w0)
+                with monkeypatch.context() as m:
+                    m.setattr(kernel, "ITER_CAP_ABS", cert.iterations - 1)
+                    w_prev, prev = kernel.solve_potential_reduction(aug, config, w0)
                 assert prev.termination == kernel.ITERATION_CAP
                 g_prev = kernel._projected_direction(w_prev[None, :], np.array([prev.f_value]), aug, rho)[2]
                 assert np.max(np.abs(g_prev)) > 1.0
@@ -590,11 +595,12 @@ class TestConfig:
         assert config.rho(5, 0.5) == pytest.approx(max(6 * 5 / 1e-4, 2 * 5 / 0.5))
         assert config.rho(5, 0.5) > 5 / 0.5
 
-    def test_iter_cap_shape(self):
-        config = kernel.SolverConfig(epsilon=1e-2, iter_cap_abs=10**9)
+    def test_iter_cap_shape(self, monkeypatch):
+        assert kernel.SolverConfig(epsilon=1e-6).iter_cap(5, 0.5) == 100_000
+        monkeypatch.setattr(kernel, "ITER_CAP_ABS", 10**9)
+        config = kernel.SolverConfig(epsilon=1e-2)
         expected = 10.0 * (5 / 1e-2) * math.log(1e2)
         assert config.iter_cap(5, 0.5) == int(expected)
-        assert kernel.SolverConfig(epsilon=1e-6).iter_cap(5, 0.5) == 100_000
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -606,18 +612,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="epsilon"):
             kernel.SolverConfig(epsilon=epsilon)
 
-    def test_negative_iteration_cap_rejected(self, aug3):
-        # Unchecked, -1 would run no iteration and fail with an IndexError.
-        with pytest.raises(ValueError, match="iter_cap_abs"):
-            kernel.SolverConfig(iter_cap_abs=-1)
-        # 0 stays legal: every start returns its initial point, capped.
+    def test_negative_iteration_cap_rejected(self, aug3, monkeypatch):
+        # A cap of 0 is legal: every start returns its initial point, capped.
+        monkeypatch.setattr(kernel, "ITER_CAP_ABS", 0)
         w0 = kernel.interior_point_default(aug3)
-        w, cert = kernel.solve_potential_reduction(aug3, kernel.SolverConfig(iter_cap_abs=0), w0)
+        w, cert = kernel.solve_potential_reduction(aug3, kernel.SolverConfig(), w0)
         assert cert.termination == kernel.ITERATION_CAP and cert.iterations == 0
         assert np.array_equal(w, w0)
 
-    @pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -1e-9])
-    def test_zero_tol_must_be_finite_nonnegative(self, zero_tol):
-        with pytest.raises(ValueError, match="zero_tol"):
-            kernel.SolverConfig(zero_tol=zero_tol)
-        assert kernel.SolverConfig(zero_tol=0.0).zero_tol == 0.0

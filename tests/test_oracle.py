@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jpac import kernel
+from jpac import kernel, oracle
 from jpac.admission import admissible
 from jpac.network import NormalizedProblem, normalize, select_alpha
 from jpac.oracle import (ENUMERATION_GUARD, LP_GUARD, EnumerationResult, enumerate_l0,
@@ -173,22 +173,20 @@ class TestEstimateQbar:
         assert status == "success"
         assert qbar >= 0.5
 
-    def test_orthogonal_succeeds_at_max_q(self):
+    def test_orthogonal_succeeds_at_max_q(self, monkeypatch):
         prob = NormalizedProblem(A=np.eye(3), b=np.full(3, 0.5), budgets=np.ones(3))
         config = kernel.SolverConfig(epsilon=1e-6)
-        qbar, status = estimate_qbar(prob, n_starts=1, Q=[0.5, 0.9], config=config)
+        monkeypatch.setattr(oracle, "QBAR_GRID", (0.5, 0.9))
+        qbar, status = estimate_qbar(prob, n_starts=1, config=config)
         assert (qbar, status) == (0.9, "success")
 
-    def test_monotone_in_grid(self, three_link_no_alpha):
+    def test_monotone_in_grid(self, three_link_no_alpha, monkeypatch):
         # Dropping grid points below the returned exponent changes nothing.
         config = kernel.SolverConfig(epsilon=1e-4)
-        full = np.round(np.arange(0.05, 1.0 + 1e-12, 0.05), 10)
-        q1, s1 = estimate_qbar(three_link_no_alpha, n_starts=20, Q=full, config=config, seed=3)
+        full = tuple(float(q) for q in np.round(np.arange(0.05, 1.0 + 1e-12, 0.05), 10))
+        monkeypatch.setattr(oracle, "QBAR_GRID", full)
+        q1, s1 = estimate_qbar(three_link_no_alpha, n_starts=20, config=config, seed=3)
         assert s1 == "success"
-        trimmed = [q for q in full if q >= q1]
-        q2, s2 = estimate_qbar(three_link_no_alpha, n_starts=20, Q=trimmed, config=config, seed=3)
+        monkeypatch.setattr(oracle, "QBAR_GRID", tuple(q for q in full if q >= q1))
+        q2, s2 = estimate_qbar(three_link_no_alpha, n_starts=20, config=config, seed=3)
         assert (q2, s2) == (q1, s1)
-
-    def test_empty_grid_rejected(self, three_link_no_alpha):
-        with pytest.raises(ValueError):
-            estimate_qbar(three_link_no_alpha, Q=[])
