@@ -183,7 +183,7 @@ def _deflate(
     seed: int,
     reselect_alpha: bool,
 ) -> AdmissionResult:
-    """Shared NLPD / LQMD skeleton on a problem whose alpha is already set."""
+    """Shared NLPD / LQMD skeleton; LQMD reselects alpha on each round's sub-problem."""
     base = problem
     removal_trace: list[dict] = []
     # ridge_retries sums KktCertificate.ridge_retries over every start;
@@ -239,8 +239,6 @@ def _deflate(
 
 def run_nlpd(problem: NormalizedProblem, config: kernel.SolverConfig | None = None) -> AdmissionResult:
     """Deflation with the convex q = 1 power control from the default start."""
-    if problem.alpha is None:
-        raise ValueError("problem must have alpha set")
     config = config or kernel.SolverConfig()
     return _deflate(problem, config, q=1.0, n_starts=1, seed=0, reselect_alpha=False)
 
@@ -262,5 +260,4 @@ def run_lqmd(
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     config = config or kernel.SolverConfig()
-    work = problem.with_alpha(select_alpha(problem))
-    return _deflate(work, config, q=q, n_starts=n_starts, seed=seed, reselect_alpha=True)
+    return _deflate(problem, config, q=q, n_starts=n_starts, seed=seed, reselect_alpha=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import kernel
 from .admission import run_lqmd, run_nlpd
 from .harness import ExperimentConfig, run_experiment, rows_to_csv, summary_to_csv
-from .network import NetworkInstance, normalize, select_alpha
+from .network import NetworkInstance, normalize
 from .oracle import enumerate_l0, estimate_qbar
 from .scenario import ScenarioConfig, generate
 
@@ -29,17 +29,14 @@ def _load_instance(path: str) -> NetworkInstance:
 def _cmd_generate(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
+    base = ScenarioConfig(K=args.K, distance_scale=args.distance_scale)   # raises on a bad value
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     import numpy as np
 
     master = np.random.SeedSequence(args.seed)
     for i, child in enumerate(master.spawn(args.count)):
-        cfg = ScenarioConfig(
-            K=args.K,
-            distance_scale=args.distance_scale,
-            seed=int(child.generate_state(1)[0]),
-        )
+        cfg = dataclasses.replace(base, seed=int(child.generate_state(1)[0]))
         path = out / f"instance_K{args.K}_{i:04d}.json"
         path.write_text(generate(cfg).to_json() + "\n")
         print(path)
@@ -50,7 +47,7 @@ def _cmd_solve(args) -> int:
     problem = normalize(_load_instance(args.instance))
     config = kernel.SolverConfig(epsilon=args.epsilon, trace_path=args.trace)
     if args.algo == "nlpd":
-        result = run_nlpd(problem.with_alpha(select_alpha(problem)), config)
+        result = run_nlpd(problem, config)
     else:
         result = run_lqmd(problem, q=args.q, n_starts=args.n, config=config, seed=args.seed)
     print(result.to_json())
@@ -58,9 +55,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    problem = normalize(_load_instance(args.instance))
-    problem = problem.with_alpha(select_alpha(problem))
-    print(enumerate_l0(problem).to_json())
+    print(enumerate_l0(normalize(_load_instance(args.instance))).to_json())
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernel
 from .admission import admissible, run_lqmd, run_nlpd
-from .network import normalize, select_alpha
+from .network import normalize
 from .oracle import enumerate_l0, estimate_qbar
 from .scenario import ScenarioConfig, generate
 
@@ -81,6 +81,7 @@ class ExperimentConfig:
         if self.experiment == "scaling-ratio" and "distance_scale" in self.scenario:
             raise ValueError("scenario must not set distance_scale: scaling-ratio sets it per setup")
         ScenarioConfig(K=1, **self.scenario)   # raises on a bad value
+        kernel.SolverConfig(epsilon=self.epsilon)   # raises on a bad value
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -199,7 +200,6 @@ def _recover_qbar_cell(config, scfg, K, run) -> list[MetricsRow]:
 
 def _approx_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
     problem = _make_problem(config, K, run)
-    problem = problem.with_alpha(select_alpha(problem))
     bench = None
 
     def benchmark(row):
@@ -233,7 +233,7 @@ def _approx_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
 def _deflate_row(config, scfg, problem, K, q, run, algorithm) -> MetricsRow:
     def solve(row):
         result = (
-            run_nlpd(problem.with_alpha(select_alpha(problem)), scfg)
+            run_nlpd(problem, scfg)
             if algorithm == "nlpd"
             else run_lqmd(problem, q=q, n_starts=config.n_starts, config=scfg,
                           seed=_solver_seed(config.seed, K, run))

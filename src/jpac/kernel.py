@@ -157,9 +157,7 @@ class SolverConfig:
 
 
 def augment(normalized: NormalizedProblem, q: float = 1.0) -> AugmentedProblem:
-    """The slack form of a normalized problem; requires alpha to be set."""
-    if normalized.alpha is None:
-        raise ValueError("normalized problem must have alpha set")
+    """The slack form of a normalized problem, weighting power by its alpha."""
     return AugmentedProblem(A=normalized.A, b=normalized.b,
                             c_tilde=normalized.alpha * normalized.budgets, q=float(q))
 
@@ -410,7 +408,6 @@ def round_to_power(
 class MultistartResult:
     x: np.ndarray
     support: list[int]
-    score: float
     certificates: list[KktCertificate]
     best_start: int
     total_iterations: int
@@ -448,14 +445,13 @@ def multistart_solve(
         key = (score, power_term, idx)
         if best_key is None or key < best_key:
             best_key = key
-            best = (x, support, score, idx)
+            best = (x, support, idx)
     if best is None:
         raise RuntimeError("every start hit the iteration cap or underflowed")
-    x, support, score, idx = best
+    x, support, idx = best
     return MultistartResult(
         x=x,
         support=support,
-        score=score,
         certificates=[cert for _, cert in results],
         best_start=idx,
         total_iterations=int(sum(cert.iterations for _, cert in results)),

@@ -118,8 +118,8 @@ class NormalizedProblem:
 
     A has exactly unit diagonal and non-positive off-diagonals, b > 0.
     link_ids maps row index back to the original link identity and survives
-    restriction to subsets.  alpha is None until selected; when set it must
-    lie strictly inside (0, 1 / sum(pbar)).
+    restriction to subsets.  alpha must lie strictly inside (0, 1 / sum(pbar));
+    left out, it is the select_alpha rule's value ALPHA_FRACTION * alpha1.
     """
 
     A: np.ndarray
@@ -150,10 +150,11 @@ class NormalizedProblem:
             raise ValueError("b must be strictly positive")
         if np.any(self.budgets <= 0):
             raise ValueError("budgets must be strictly positive")
-        if self.alpha is not None:
-            hi = 1.0 / float(np.sum(self.budgets))
-            if not (0.0 < self.alpha < hi):
-                raise ValueError(f"alpha must lie in (0, {hi}), got {self.alpha}")
+        alpha1 = self.alpha1
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", ALPHA_FRACTION * alpha1)
+        if not (0.0 < self.alpha < alpha1):
+            raise ValueError(f"alpha must lie in (0, {alpha1}), got {self.alpha}")
 
     @property
     def K(self) -> int:
@@ -180,7 +181,7 @@ def normalize(instance: NetworkInstance) -> NormalizedProblem:
 
     a_kk = 1, a_kj = -gamma_k g_kj pbar_j / (g_kk pbar_k) for j != k, and
     b_k = gamma_k eta_k / (g_kk pbar_k).  With x = p / pbar, SINR_k >= gamma_k
-    iff [A x - b]_k >= 0.  alpha is left unset.
+    iff [A x - b]_k >= 0.  alpha is the select_alpha rule's value.
     """
     g = instance.gains
     gkk = np.diag(g)

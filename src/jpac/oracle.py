@@ -53,8 +53,6 @@ def enumerate_l0(problem: NormalizedProblem) -> EnumerationResult:
     smallest set; the support is unique when no other row comes within
     1e-9 of the best objective.
     """
-    if problem.alpha is None:
-        raise ValueError("problem must have alpha set")
     k = problem.K
     if k > ENUMERATION_GUARD:
         raise ValueError(f"enumeration guarded to K <= {ENUMERATION_GUARD}")
@@ -98,8 +96,6 @@ def lp_exact(problem: NormalizedProblem) -> np.ndarray:
     vertex is the solution of K active rows.  Feasibility filtering handles
     degeneracy; ties go to the lexicographically smallest x.
     """
-    if problem.alpha is None:
-        raise ValueError("problem must have alpha set")
     k = problem.K
     if k > LP_GUARD:
         raise ValueError(f"LP oracle guarded to K <= {LP_GUARD}")
@@ -141,6 +137,10 @@ def estimate_qbar(
     sets and an infinity-norm power gap of at most 1e-3.  Returns (0.0,
     "failure") when the grid is exhausted.
     """
+    # Checked here too: the enumeration below costs 2^K - 1 solves before
+    # multistart_solve would reject n_starts.
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
     config = config or kernel.SolverConfig()
 
     work = problem.with_alpha(select_alpha(problem))

@@ -24,11 +24,6 @@ def three_link() -> NormalizedProblem:
 
 
 @pytest.fixture
-def three_link_no_alpha() -> NormalizedProblem:
-    return NormalizedProblem(A=A3, b=B3, budgets=np.ones(3))
-
-
-@pytest.fixture
 def three_link_instance() -> NetworkInstance:
     # Physical channel whose normalization is exactly (A3, B3): unit direct
     # gains, unit targets and budgets, noise 0.5 W, cross gains matching the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jpac import kernel
+from jpac import admission, kernel
 from jpac.admission import (
     admissible,
     foschini_miljanic,
@@ -25,8 +25,12 @@ from conftest import fail_first_schur_solve, random_problem
 
 
 def _diag_problem(K=2, b=0.5, alpha=None):
-    prob = NormalizedProblem(A=np.eye(K), b=np.full(K, b), budgets=np.ones(K))
-    return prob if alpha is None else prob.with_alpha(alpha)
+    return NormalizedProblem(A=np.eye(K), b=np.full(K, b), budgets=np.ones(K), alpha=alpha)
+
+
+def _dense_problem(K: int, seed: int) -> NormalizedProblem:
+    # distance_scale 0.707 leaves links after preprocessing that need deflation rounds.
+    return normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=0.707)))
 
 
 class TestAdmissible:
@@ -185,16 +189,29 @@ class TestRunNlpd:
         assert result.removal_trace == []
         assert result.powers_w == pytest.approx(np.full(4, 0.5))
 
-    def test_requires_alpha(self, three_link_no_alpha):
-        with pytest.raises(ValueError):
-            run_nlpd(three_link_no_alpha)
-
     def test_no_admissible_link(self):
         # A single link whose target needs more than its budget (b > 1).
         result = run_nlpd(NormalizedProblem(A=[[1.0]], b=[2.0], budgets=[1.0], alpha=0.1))
         assert result.admitted == [] and result.readmitted == []
         assert result.powers_w.shape == (0,)
         assert result.removal_trace == [{"link": 0, "stage": "deflate", "round": 0}]
+
+    def test_alpha_fixed_on_every_round(self, monkeypatch):
+        # normalize sets the select_alpha rule's value, and NLPD solves every
+        # round's sub-problem with that full-problem alpha.
+        subs = []
+
+        def recording(problem, S):
+            subs.append(restrict(problem, S))
+            return subs[-1]
+
+        monkeypatch.setattr(admission, "restrict", recording)
+        for seed in range(3):
+            prob = _dense_problem(24, seed)
+            assert prob.alpha == select_alpha(prob)
+            subs.clear()
+            run_nlpd(prob)
+            assert subs and all(sub.alpha == prob.alpha for sub in subs)
 
     def test_deflation_round_stays_on_constraints(self):
         # deflate-sparse benchmark pool (seed 1) instance 3: stopping each
@@ -208,8 +225,8 @@ class TestRunNlpd:
 
 
 class TestRunLqmd:
-    def test_three_link_end_to_end(self, three_link_no_alpha):
-        result = run_lqmd(three_link_no_alpha, q=0.5, n_starts=20)
+    def test_three_link_end_to_end(self, three_link):
+        result = run_lqmd(three_link, q=0.5, n_starts=20)
         assert result.admitted == [0, 1]
         assert result.powers_w == pytest.approx([0.5, 0.5])
 
@@ -248,11 +265,21 @@ class TestRunLqmd:
         assert res.stats["max_primal_residual"] == max(c.primal_residual for c in certs)
         assert json.loads(res.to_json())["stats"]["max_primal_residual"] == res.stats["max_primal_residual"]
 
-    def test_invalid_parameters(self, three_link_no_alpha):
+    def test_given_alpha_unread(self):
+        # Every round reselects alpha on its own sub-problem, and nothing
+        # before the first round reads alpha.
+        for seed in range(3):
+            prob = _dense_problem(24, seed)
+            result = run_lqmd(prob, q=0.5, n_starts=2, seed=seed)
+            assert any(rec["stage"] == "deflate" for rec in result.removal_trace)
+            halved = run_lqmd(prob.with_alpha(0.5 * prob.alpha), q=0.5, n_starts=2, seed=seed)
+            assert halved.to_json() == result.to_json()
+
+    def test_invalid_parameters(self, three_link):
         with pytest.raises(ValueError):
-            run_lqmd(three_link_no_alpha, q=1.0, n_starts=5)
+            run_lqmd(three_link, q=1.0, n_starts=5)
         with pytest.raises(ValueError):
-            run_lqmd(three_link_no_alpha, q=0.5, n_starts=0)
+            run_lqmd(three_link, q=0.5, n_starts=0)
 
 
 @pytest.fixture(scope="module")

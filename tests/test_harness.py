@@ -192,6 +192,15 @@ class TestCli:
         assert "--count" in capsys.readouterr().err
         assert not (tmp_path / "inst").exists()
 
+    @pytest.mark.parametrize("args,name", [
+        (["--K", "0"], "K"),
+        (["--K", "3", "--distance-scale", "2"], "distance_scale"),
+    ], ids=["K-0", "distance_scale-2"])
+    def test_generate_bad_scenario_exit_code(self, tmp_path, capsys, args, name):
+        assert main(["generate", *args, "--out", str(tmp_path / "inst")]) == 1
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "inst").exists()
+
     def test_recover_qbar(self, tmp_path, capsys):
         out = tmp_path / "inst"
         main(["generate", "--K", "3", "--seed", "1", "--out", str(out)])
@@ -262,6 +271,9 @@ class TestCli:
         _cli_case(_config("deflate-compare", seed=-1), "seed", "seed--1"),
         _cli_case(_config("deflate-compare", q_list=[0.3, 0.7]), "q_list", "deflate-compare-q_list"),
         _cli_case(_config("scaling-ratio", q_list=[0.3, 0.7]), "q_list", "scaling-ratio-q_list"),
+        # An epsilon outside (0, 1), which SolverConfig would reject per run.
+        _cli_case(_config("deflate-compare", epsilon=2), "epsilon", "epsilon-2"),
+        _cli_case(_config("deflate-compare", epsilon=float("nan")), "epsilon", "epsilon-nan"),
         # Command-line overrides of a valid config get the same checks.
         _cli_case(_config("deflate-compare"), "runs", "argv-runs--1", ["--runs", "-1"]),
         _cli_case(_config("deflate-compare"), "seed", "argv-seed--1", ["--seed", "-1"]),

@@ -59,10 +59,6 @@ class TestAugment:
             aug = kernel.augment(prob, q=0.7)
             assert np.linalg.matrix_rank(aug.A_tilde) == 10
 
-    def test_requires_alpha(self, three_link_no_alpha):
-        with pytest.raises(ValueError):
-            kernel.augment(three_link_no_alpha)
-
     def test_invalid_q(self, three_link):
         with pytest.raises(ValueError):
             kernel.augment(three_link, q=0.0)

@@ -151,7 +151,9 @@ class TestSelectAlphaEquivalence:
 
         monkeypatch.setattr(admission, "select_alpha", recording)
         for seed in range(4):
-            run_lqmd(_scenario(24, seed, 0.707), q=0.5, n_starts=2, seed=seed)
+            prob = _scenario(24, seed, 0.707)
+            recording(prob)   # run_lqmd selects alpha on its rounds' sub-problems only
+            run_lqmd(prob, q=0.5, n_starts=2, seed=seed)
         rounds = [p for p in seen if p.link_ids != tuple(range(24))]
         assert len(rounds) >= 8
         verdicts = [_ref_spectral_radius(np.eye(p.K) - p.A) >= 1.0 for p in seen]

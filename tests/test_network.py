@@ -54,7 +54,7 @@ class TestNormalize:
         prob = normalize(three_link_instance)
         assert prob.A == pytest.approx(A3)
         assert prob.b == pytest.approx(B3)
-        assert prob.alpha is None
+        assert prob.alpha == select_alpha(prob)
 
     def test_sign_round_trip_random(self):
         # SINR_k >= gamma_k iff [Ax - b]_k >= 0 with x = p / pbar.
@@ -108,9 +108,9 @@ class TestMMatrixSolve:
 
 
 class TestSelectAlpha:
-    def test_three_link_high_interference_branch(self, three_link_no_alpha):
+    def test_three_link_high_interference_branch(self, three_link):
         # alpha = 0.2 * alpha1 = 0.2 / 3, here with rho(I - A) = sqrt(2) >= 1.
-        assert select_alpha(three_link_no_alpha) == pytest.approx(1.0 / 15.0)
+        assert select_alpha(three_link) == pytest.approx(1.0 / 15.0)
 
     def test_single_link_fallback_branch(self):
         prob = NormalizedProblem(A=[[1.0]], b=[0.5], budgets=[1.0])
@@ -185,11 +185,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             NormalizedProblem(A=np.eye(2), b=[0.5, np.nan], budgets=[1.0, 1.0])
 
-    def test_alpha_out_of_range(self, three_link_no_alpha):
+    def test_alpha_out_of_range(self, three_link):
         with pytest.raises(ValueError):
-            three_link_no_alpha.with_alpha(1.0)  # alpha1 = 1/3
+            three_link.with_alpha(1.0)  # alpha1 = 1/3
         with pytest.raises(ValueError):
-            three_link_no_alpha.with_alpha(0.0)
+            three_link.with_alpha(0.0)
 
 
 class TestSerialization:

@@ -94,10 +94,6 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_l0(prob)
 
-    def test_requires_alpha(self, three_link_no_alpha):
-        with pytest.raises(ValueError):
-            enumerate_l0(three_link_no_alpha)
-
     def test_serialization(self, three_link):
         doc = json.loads(enumerate_l0(three_link).to_json())
         assert doc["best_support"] == [0, 1]
@@ -167,9 +163,9 @@ class TestLpExact:
 
 
 class TestEstimateQbar:
-    def test_three_link_recovery(self, three_link_no_alpha):
+    def test_three_link_recovery(self, three_link):
         config = kernel.SolverConfig(epsilon=1e-4)
-        qbar, status = estimate_qbar(three_link_no_alpha, n_starts=20, config=config, seed=0)
+        qbar, status = estimate_qbar(three_link, n_starts=20, config=config, seed=0)
         assert status == "success"
         assert qbar >= 0.5
 
@@ -180,13 +176,21 @@ class TestEstimateQbar:
         qbar, status = estimate_qbar(prob, n_starts=1, config=config)
         assert (qbar, status) == (0.9, "success")
 
-    def test_monotone_in_grid(self, three_link_no_alpha, monkeypatch):
+    def test_n_starts_checked_before_enumeration(self, three_link, monkeypatch):
+        def never(problem):
+            raise AssertionError("enumerate_l0 ran before n_starts was checked")
+
+        monkeypatch.setattr(oracle, "enumerate_l0", never)
+        with pytest.raises(ValueError, match="n_starts"):
+            estimate_qbar(three_link, n_starts=0)
+
+    def test_monotone_in_grid(self, three_link, monkeypatch):
         # Dropping grid points below the returned exponent changes nothing.
         config = kernel.SolverConfig(epsilon=1e-4)
         full = tuple(float(q) for q in np.round(np.arange(0.05, 1.0 + 1e-12, 0.05), 10))
         monkeypatch.setattr(oracle, "QBAR_GRID", full)
-        q1, s1 = estimate_qbar(three_link_no_alpha, n_starts=20, config=config, seed=3)
+        q1, s1 = estimate_qbar(three_link, n_starts=20, config=config, seed=3)
         assert s1 == "success"
         monkeypatch.setattr(oracle, "QBAR_GRID", tuple(q for q in full if q >= q1))
-        q2, s2 = estimate_qbar(three_link_no_alpha, n_starts=20, config=config, seed=3)
+        q2, s2 = estimate_qbar(three_link, n_starts=20, config=config, seed=3)
         assert (q2, s2) == (q1, s1)

@@ -5,6 +5,7 @@ Run from the repository root:
 
     python3 tools/answer_hashes.py                     # seeds 1 2 3, all workloads
     python3 tools/answer_hashes.py --seeds 1 --per-instance
+    python3 tools/answer_hashes.py --experiment CONFIG.json ...
 
 Each pool is drawn and solved exactly as perfbench/run.py draws and solves
 it (the script is imported, not changed).  One hash covers, in pool order:
@@ -17,6 +18,11 @@ it (the script is imported, not changed).  One hash covers, in pool order:
 Each output line is `<workload> seed <seed> <sha256>`; --per-instance adds
 one `<workload> seed <seed> instance <i> <sha256>` line per pool instance,
 over that instance's answers alone, before its pool's line.
+
+--experiment runs each `jpac experiment` config file in place of the pools
+and prints `<config> rows <sha256>` and `<config> summary <sha256>`: the
+hashes of its rows CSV, with `runtime_ms` blanked, and of its summary CSV.
+The config's output_path is ignored; nothing is written.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ sys.modules[_spec.name] = bench   # its dataclasses look their module up here
 _spec.loader.exec_module(bench)
 
 import numpy as np  # noqa: E402
+from jpac import harness  # noqa: E402
 
 
 def answer_parts(workload: str, inst) -> list[bytes]:
@@ -65,6 +72,15 @@ def sha256(parts) -> str:
     return h.hexdigest()
 
 
+def experiment_hashes(path: str) -> tuple[str, str]:
+    """sha256 of the rows CSV (runtime_ms blanked) and of the summary CSV of one config."""
+    rows, summary = harness.run_experiment(harness.ExperimentConfig.from_json(Path(path).read_text()))
+    for row in rows:
+        row.runtime_ms = None   # wall time is the one field that differs between runs
+    return (sha256([harness.rows_to_csv(rows).encode()]),
+            sha256([harness.summary_to_csv(summary).encode()]))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
@@ -72,9 +88,17 @@ def main(argv=None) -> int:
                     help="hash only the first n pool instances (default: the whole pool)")
     ap.add_argument("--per-instance", action="store_true",
                     help="also print one hash per pool instance")
+    ap.add_argument("--experiment", metavar="CONFIG", nargs="+", default=None,
+                    help="hash the CSVs of these experiment configs instead of the pools")
     args = ap.parse_args(argv)
     if args.instances is not None and args.instances < 1:
         ap.error("--instances must be >= 1")
+    if args.experiment:
+        for path in args.experiment:
+            rows, summary = experiment_hashes(path)
+            print(f"{path} rows {rows}")
+            print(f"{path} summary {summary}", flush=True)
+        return 0
     for workload in bench.WORKLOADS:
         for seed in args.seeds:
             per_instance = pool_parts(workload, seed, args.instances)
