@@ -14,9 +14,8 @@ entrywise nonnegative inverse (network.m_matrix_solve).  It follows that
 admissibility is closed under subsets: dropping a link only removes
 interference.
 
-Index convention: every set handed to these functions is a set of row
-positions of the problem argument.  run_nlpd / run_lqmd report original
-link ids (via link_ids) in their results.
+Index convention: every set handed to these functions, and every link that
+run_nlpd / run_lqmd report, is a row position of the problem argument.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ ADMISSIBLE_ATOL = 1e-10   # bound slack of the [0, 1] test on x_S
 class AdmissionResult:
     """Admitted links, their minimum-power allocation, and the removal trace."""
 
-    admitted: list[int]                 # original link ids, ascending
+    admitted: list[int]                 # row positions of the problem, ascending
     powers_w: np.ndarray                # per-admitted-link power, watts
-    removal_trace: list[dict]           # {"link": id, "stage": ..., ...} in removal order
-    readmitted: list[int]
+    removal_trace: list[dict]           # {"link": position, "stage": ..., ...} in removal order
+    readmitted: list[int]               # row positions, ascending
     stats: dict
 
     @property
@@ -193,10 +192,10 @@ def _deflate(
              "max_primal_residual": 0.0}
 
     # keep and removed are positions of base; restrict keeps keep's ascending
-    # order, so position k0 of a round's subproblem is keep[k0].
+    # order, so row i of a round's sub-problem is keep[i].
     keep, removed = preprocess(base)
     for pos in removed:
-        removal_trace.append({"link": int(base.link_ids[pos]), "stage": "preprocess"})
+        removal_trace.append({"link": pos, "stage": "preprocess"})
 
     round_idx = 0
     # x_keep is the minimum-power x of keep once the exit check accepts it.
@@ -211,17 +210,13 @@ def _deflate(
             stats["ridge_retries"] += cert.ridge_retries
             stats["max_primal_residual"] = max(stats["max_primal_residual"], cert.primal_residual)
             stats["terminations"][cert.termination] = stats["terminations"].get(cert.termination, 0) + 1
-        k0 = removal_candidate(sub, res.x)
-        removal_trace.append({
-            "link": int(sub.link_ids[k0]),
-            "stage": "deflate",
-            "round": round_idx,
-        })
-        removed.append(keep.pop(k0))
+        link = keep.pop(removal_candidate(sub, res.x))
+        removal_trace.append({"link": link, "stage": "deflate", "round": round_idx})
+        removed.append(link)
         round_idx += 1
 
     final, x_final = postprocess(base, keep, removed)
-    readmitted = sorted(int(base.link_ids[p]) for p in set(final) - set(keep))
+    readmitted = sorted(set(final) - set(keep))
 
     # The powers come from the solve that accepted the final set: the last
     # readmitting scan, else the loop's exit check.
@@ -229,7 +224,7 @@ def _deflate(
         x_final = x_keep if keep else np.zeros(0)   # empty: no link is admissible, even alone
     powers_w = x_final * base.budgets[final]
     return AdmissionResult(
-        admitted=sorted(int(base.link_ids[p]) for p in final),
+        admitted=final,
         powers_w=powers_w,
         removal_trace=removal_trace,
         readmitted=readmitted,
@@ -259,5 +254,7 @@ def run_lqmd(
         raise ValueError("q must lie in (0, 1)")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     config = config or kernel.SolverConfig()
     return _deflate(problem, config, q=q, n_starts=n_starts, seed=seed, reselect_alpha=True)

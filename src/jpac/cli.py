@@ -29,6 +29,8 @@ def _load_instance(path: str) -> NetworkInstance:
 def _cmd_generate(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     base = ScenarioConfig(K=args.K, distance_scale=args.distance_scale)   # raises on a bad value
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

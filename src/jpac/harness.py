@@ -239,11 +239,9 @@ def _deflate_row(config, scfg, problem, K, q, run, algorithm) -> MetricsRow:
                           seed=_solver_seed(config.seed, K, run))
         )
         # Revalidate through the exact oracle before reporting.
-        ids = list(problem.link_ids)
-        positions = [ids.index(link) for link in result.admitted]
-        if positions and admissible(problem, positions) is None:
+        if result.admitted and admissible(problem, result.admitted) is None:
             raise RuntimeError("admitted set failed exact revalidation")
-        row.supported = len(positions)
+        row.supported = len(result.admitted)
         row.power_mw = result.total_power_mw
 
     return _timed_row(config, K, q, algorithm, run, solve)

@@ -426,6 +426,8 @@ def multistart_solve(
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     k = problem.K
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     starts = [interior_point_default(problem)]

@@ -36,14 +36,33 @@ def _require_finite(obj, names) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _as_geometry(geometry, k: int) -> dict:
+    """Each coordinate set as a finite float array of shape (k, 2), keyed as given."""
+    if not isinstance(geometry, dict):
+        raise ValueError("geometry must be a dict of coordinate arrays")
+    out = {}
+    for key, coords in geometry.items():
+        name = f"geometry[{key!r}]"
+        try:
+            a = np.asarray(coords, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} must be a numeric array: {exc}") from None
+        if a.shape != (k, 2):
+            raise ValueError(f"{name} must have shape ({k}, 2), got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+        out[key] = a
+    return out
+
+
 @dataclass(frozen=True)
 class NetworkInstance:
     """Physical channel: gains, noises, SINR targets, and power budgets.
 
     gains[k, j] is the linear gain from transmitter j to receiver k
     (dimensionless); noise is in watts, sinr_targets in linear scale,
-    budgets in watts.  geometry, when present, holds transmitter and
-    receiver coordinates in meters.
+    budgets in watts.  geometry, when present, maps names such as "tx_m"
+    and "rx_m" to finite (K, 2) arrays of coordinates in meters.
     """
 
     gains: np.ndarray
@@ -69,6 +88,8 @@ class NetworkInstance:
         for name in ("noise", "sinr_targets", "budgets"):
             if np.any(getattr(self, name) <= 0):
                 raise ValueError(f"{name} must be strictly positive")
+        if self.geometry is not None:
+            object.__setattr__(self, "geometry", _as_geometry(self.geometry, k))
 
     @property
     def K(self) -> int:
@@ -84,7 +105,7 @@ class NetworkInstance:
             "budgets_w": self.budgets.tolist(),
         }
         if self.geometry is not None:
-            doc["geometry"] = {k: np.asarray(v).tolist() for k, v in self.geometry.items()}
+            doc["geometry"] = {k: v.tolist() for k, v in self.geometry.items()}
         return json.dumps(doc)
 
     @classmethod
@@ -98,17 +119,12 @@ class NetworkInstance:
                    if name not in doc]
         if missing:
             raise ValueError(f"instance is missing fields: {missing}")
-        geometry = doc.get("geometry")
-        if geometry is not None:
-            if not isinstance(geometry, dict):
-                raise ValueError("geometry must be an object of coordinate arrays")
-            geometry = {k: np.asarray(v, dtype=float) for k, v in geometry.items()}
         return cls(
             gains=doc["gains"],
             noise=doc["noise_w"],
             sinr_targets=doc["sinr_targets_linear"],
             budgets=doc["budgets_w"],
-            geometry=geometry,
+            geometry=doc.get("geometry"),
         )
 
 
@@ -117,16 +133,14 @@ class NormalizedProblem:
     """The (A, b, pbar) triple of the sparse formulation, plus the weight alpha.
 
     A has exactly unit diagonal and non-positive off-diagonals, b > 0.
-    link_ids maps row index back to the original link identity and survives
-    restriction to subsets.  alpha must lie strictly inside (0, 1 / sum(pbar));
-    left out, it is the select_alpha rule's value ALPHA_FRACTION * alpha1.
+    alpha must lie strictly inside (0, 1 / sum(pbar)); left out, it is the
+    select_alpha rule's value ALPHA_FRACTION * alpha1.
     """
 
     A: np.ndarray
     b: np.ndarray
     budgets: np.ndarray
     alpha: float | None = None
-    link_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -136,10 +150,6 @@ class NormalizedProblem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", _as_vector(self.b, k, "b"))
         object.__setattr__(self, "budgets", _as_vector(self.budgets, k, "budgets"))
-        if not self.link_ids:
-            object.__setattr__(self, "link_ids", tuple(range(k)))
-        elif len(self.link_ids) != k:
-            raise ValueError("link_ids length must match problem size")
         _require_finite(self, ("A", "b", "budgets"))
         if np.any(np.diag(A) != 1.0):
             raise ValueError("A must have exactly unit diagonal")
@@ -241,5 +251,4 @@ def restrict(normalized: NormalizedProblem, S) -> NormalizedProblem:
         b=normalized.b[idx],
         budgets=normalized.budgets[idx],
         alpha=normalized.alpha,
-        link_ids=tuple(normalized.link_ids[i] for i in idx),
     )

@@ -138,9 +138,11 @@ def estimate_qbar(
     "failure") when the grid is exhausted.
     """
     # Checked here too: the enumeration below costs 2^K - 1 solves before
-    # multistart_solve would reject n_starts.
+    # multistart_solve would reject n_starts or seed.
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     config = config or kernel.SolverConfig()
 
     work = problem.with_alpha(select_alpha(problem))

@@ -14,7 +14,7 @@ import pytest
 from jpac import kernel
 from jpac.admission import admissible, foschini_miljanic
 from jpac.harness import ExperimentConfig, run_experiment
-from jpac.network import NormalizedProblem, select_alpha
+from jpac.network import NormalizedProblem
 from jpac.oracle import lp_exact
 from jpac.scenario import ScenarioConfig, generate
 
@@ -56,7 +56,6 @@ def corpus(tmp_path_factory):
         K = 3 + i % 8
         q = q_grid[i % 3]
         prob = random_problem(K, 1000 + i)
-        prob = prob.with_alpha(select_alpha(prob))
         aug = kernel.augment(prob, q=q)
         path = trace_dir / f"run_{i}.jsonl"
         config = kernel.SolverConfig(epsilon=1e-3, trace_path=str(path))
@@ -69,7 +68,6 @@ def corpus(tmp_path_factory):
     ms_config = kernel.SolverConfig(epsilon=1e-4)
     for i in range(10):
         prob = random_problem(5, 2000 + i)
-        prob = prob.with_alpha(select_alpha(prob))
         aug = kernel.augment(prob, q=0.5)
         res = kernel.multistart_solve(aug, ms_config, 5, seed=i)
         for cert in res.certificates:

@@ -220,7 +220,7 @@ class TestRunNlpd:
         scen_seed = int(np.random.SeedSequence(1).spawn(31)[3].generate_state(2)[0])
         prob = normalize(generate(ScenarioConfig(K=64, square_side=2000.0 * (64 / 20) ** 0.5,
                                                  seed=scen_seed)))
-        res = run_nlpd(prob.with_alpha(select_alpha(prob)), kernel.SolverConfig(epsilon=1e-6))
+        res = run_nlpd(prob, kernel.SolverConfig(epsilon=1e-6))
         assert res.stats["max_primal_residual"] <= 1e-6
 
 
@@ -280,6 +280,9 @@ class TestRunLqmd:
             run_lqmd(three_link, q=1.0, n_starts=5)
         with pytest.raises(ValueError):
             run_lqmd(three_link, q=0.5, n_starts=0)
+        # Checked up front: a run that needs no deflation round never seeds a start.
+        with pytest.raises(ValueError, match="seed"):
+            run_lqmd(three_link, q=0.5, n_starts=5, seed=-1)
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +291,7 @@ def results():
     config = kernel.SolverConfig(epsilon=1e-6)
     for seed in range(15):
         prob = random_problem(8, seed)
-        nlpd = run_nlpd(prob.with_alpha(select_alpha(prob)), config)
+        nlpd = run_nlpd(prob, config)
         lqmd = run_lqmd(prob, q=0.5, n_starts=5, config=config, seed=seed)
         out.append((prob, nlpd))
         out.append((prob, lqmd))
@@ -312,7 +315,7 @@ class TestDeflationInvariants:
 
     def test_admitted_within_enumeration_bound(self, results):
         for prob, res in results:
-            best = enumerate_l0(prob.with_alpha(select_alpha(prob)))
+            best = enumerate_l0(prob)
             assert len(res.admitted) <= len(best.best_support)
 
     def test_no_over_removal_of_singletons(self, results):
@@ -321,10 +324,27 @@ class TestDeflationInvariants:
                 assert len(res.admitted) >= 1
 
     def test_admitted_disjoint_from_final_removals(self, results):
-        for _, res in results:
-            removed = {rec["link"] for rec in res.removal_trace} - set(res.readmitted)
+        for prob, res in results:
+            links = [rec["link"] for rec in res.removal_trace]
+            assert len(links) == len(set(links))
+            removed = set(links) - set(res.readmitted)
             assert removed.isdisjoint(res.admitted)
             assert set(res.readmitted) <= set(res.admitted)
+            assert sorted(removed | set(res.admitted)) == list(range(prob.K))
+
+    def test_restricted_problem_reports_its_own_positions(self):
+        # Deflating restrict(problem, S) names links by their rows in that
+        # sub-problem, 0 .. len(S) - 1, not by their rows in problem.
+        S = list(range(1, 24, 2))
+        for seed in range(3):
+            sub = restrict(_dense_problem(24, seed), S)
+            for res in (run_nlpd(sub), run_lqmd(sub, q=0.5, n_starts=3, seed=seed)):
+                assert any(rec["stage"] == "deflate" for rec in res.removal_trace)
+                links = res.admitted + res.readmitted + [rec["link"] for rec in res.removal_trace]
+                assert set(links) <= set(range(len(S)))
+                x = admissible(sub, res.admitted)
+                assert x is not None
+                assert x * sub.budgets[res.admitted] == pytest.approx(res.powers_w, abs=1e-12)
 
     def test_stats_recorded(self, results):
         assert any(res.stats["solver_calls"] > 0 for _, res in results)
@@ -347,7 +367,7 @@ class TestDeflationProperties:
         instance = generate(ScenarioConfig(K=K, seed=seed))
         prob = normalize(instance)
         config = kernel.SolverConfig(epsilon=1e-6)
-        for res in (run_nlpd(prob.with_alpha(select_alpha(prob)), config),
+        for res in (run_nlpd(prob, config),
                     run_lqmd(prob, q=0.5, n_starts=3, config=config, seed=seed)):
             S = res.admitted
             assert admissible(prob, S) is not None

@@ -195,11 +195,23 @@ class TestCli:
     @pytest.mark.parametrize("args,name", [
         (["--K", "0"], "K"),
         (["--K", "3", "--distance-scale", "2"], "distance_scale"),
-    ], ids=["K-0", "distance_scale-2"])
+        (["--K", "3", "--seed", "-1"], "seed"),
+    ], ids=["K-0", "distance_scale-2", "seed--1"])
     def test_generate_bad_scenario_exit_code(self, tmp_path, capsys, args, name):
         assert main(["generate", *args, "--out", str(tmp_path / "inst")]) == 1
         assert name in capsys.readouterr().err
         assert not (tmp_path / "inst").exists()
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        # This K=3 instance needs no deflation round, so an unchecked seed
+        # never reached the solver and solve exited 0; recover-qbar failed
+        # only after its enumeration, with numpy's message.
+        main(["generate", "--K", "3", "--seed", "2", "--out", str(tmp_path)])
+        capsys.readouterr()
+        path = str(next(tmp_path.glob("*.json")))
+        for argv in (["solve", "--algo", "lqmd"], ["recover-qbar", "--n", "2"]):
+            assert main(argv + ["--instance", path, "--seed", "-1"]) == 1
+            assert "seed" in capsys.readouterr().err
 
     def test_recover_qbar(self, tmp_path, capsys):
         out = tmp_path / "inst"

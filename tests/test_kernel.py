@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jpac import kernel
-from jpac.network import NormalizedProblem, select_alpha
+from jpac.network import NormalizedProblem
 
 from conftest import ALPHA3, X3_STAR, fail_first_schur_solve, random_problem
 
@@ -87,7 +87,7 @@ class TestObjectiveGradient:
         for case in range(10):
             K = int(rng.integers(3, 21))
             prob = random_problem(K, 6000 + case)
-            aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=(0.1, 0.5, 1.0)[case % 3])
+            aug = kernel.augment(prob, q=(0.1, 0.5, 1.0)[case % 3])
             w = rng.uniform(0.2, 1.5, size=3 * K)
             grad = _direction_gradient(w[None, :], aug, kernel.SolverConfig().rho(K, aug.q))[0]
             for n in range(3 * K):
@@ -216,7 +216,7 @@ class TestLineSearch:
         # the boundary: one component goes negative, its log is NaN, and only
         # the finiteness test on phi can reject it.
         prob = random_problem(4, 11)
-        aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
+        aug = kernel.augment(prob, q=q)
         rho = kernel.SolverConfig().rho(aug.K, q)
         W = kernel.interior_point_default(aug)[None, :]
         g = np.linspace(-2.0, 1.0, W.shape[1])[None, :]
@@ -244,7 +244,7 @@ class TestProjectedDirection:
             K = int(rng.integers(3, 41))
             q = (0.1, 0.5, 1.0)[case % 3]
             prob = random_problem(K, 5000 + case)
-            aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
+            aug = kernel.augment(prob, q=q)
             W = rng.lognormal(0.0, 3.0, size=(1 if case % 2 else 5, 3 * K))
             rho = kernel.SolverConfig().rho(K, q)
             f = kernel._batch_objective(W, aug)
@@ -329,7 +329,7 @@ class TestSolveNormal:
             return wrapper
 
         prob = random_problem(12, 3)
-        aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=0.5)
+        aug = kernel.augment(prob, q=0.5)
         for name in counts:
             monkeypatch.setattr(np.linalg, name, counting(name))
         res = kernel.multistart_solve(aug, kernel.SolverConfig(epsilon=1e-6), n_starts=4, seed=0)
@@ -340,7 +340,7 @@ class TestSolveNormal:
 def _batch_case(K, q, seed, n_starts=6):
     """A random instance and n_starts seeded interior starts, the default first."""
     prob = random_problem(K, seed)
-    aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
+    aug = kernel.augment(prob, q=q)
     rng = np.random.default_rng(seed)
     starts = [kernel.interior_point_default(aug)] + [
         kernel.interior_point_random(aug, rng.uniform(0.01, 0.99, size=K)) for _ in range(n_starts - 1)]
@@ -510,7 +510,6 @@ class TestSolve:
         for i, K in enumerate((3, 5, 8, 12, 16, 20)):
             for j, q in enumerate((0.1, 0.3, 0.5, 1.0)):
                 prob = random_problem(K, 3000 + 4 * i + j)
-                prob = prob.with_alpha(select_alpha(prob))
                 aug = kernel.augment(prob, q=q)
                 path = tmp_path / f"trace_{K}_{q}.jsonl"
                 config = kernel.SolverConfig(trace_path=str(path))
@@ -527,7 +526,7 @@ class TestSolve:
         for i, K in enumerate((5, 8, 12, 16, 20)):
             for j, q in enumerate((0.1, 0.5, 1.0)):
                 prob = random_problem(K, 7100 + 3 * i + j)
-                aug = kernel.augment(prob.with_alpha(select_alpha(prob)), q=q)
+                aug = kernel.augment(prob, q=q)
                 rho = config.rho(K, q)
                 w0 = kernel.interior_point_default(aug)
                 w, cert = kernel.solve_potential_reduction(aug, config, w0)
@@ -566,6 +565,8 @@ class TestMultistart:
     def test_invalid_n(self, aug3):
         with pytest.raises(ValueError):
             kernel.multistart_solve(aug3, kernel.SolverConfig(), 0, 0)
+        with pytest.raises(ValueError, match="seed"):
+            kernel.multistart_solve(aug3, kernel.SolverConfig(), 1, -1)
 
 
 class TestRoundToPower:

@@ -154,7 +154,7 @@ class TestSelectAlphaEquivalence:
             prob = _scenario(24, seed, 0.707)
             recording(prob)   # run_lqmd selects alpha on its rounds' sub-problems only
             run_lqmd(prob, q=0.5, n_starts=2, seed=seed)
-        rounds = [p for p in seen if p.link_ids != tuple(range(24))]
+        rounds = [p for p in seen if p.K < 24]
         assert len(rounds) >= 8
         verdicts = [_ref_spectral_radius(np.eye(p.K) - p.A) >= 1.0 for p in seen]
         assert [_high_interference(p) for p in seen] == verdicts

@@ -128,21 +128,18 @@ class TestRestrict:
         sub = restrict(three_link, [0, 1, 2])
         assert sub.A == pytest.approx(three_link.A)
         assert sub.b == pytest.approx(three_link.b)
-        assert sub.link_ids == (0, 1, 2)
         assert sub.alpha == three_link.alpha
 
     def test_three_link_pair(self, three_link):
         sub = restrict(three_link, [0, 1])
         assert sub.A == pytest.approx(np.eye(2))
         assert sub.b == pytest.approx([0.5, 0.5])
-        assert sub.link_ids == (0, 1)
 
     def test_composition(self):
         prob = random_problem(6, 1)
         once = restrict(prob, [0, 2, 3])
         twice = restrict(restrict(prob, [0, 1, 2, 3]), [0, 2, 3])
         assert twice.A == pytest.approx(once.A)
-        assert twice.link_ids == once.link_ids
 
     def test_empty_rejected(self, three_link):
         with pytest.raises(ValueError):
@@ -185,6 +182,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             NormalizedProblem(A=np.eye(2), b=[0.5, np.nan], budgets=[1.0, 1.0])
 
+    def test_geometry_must_be_dict(self):
+        with pytest.raises(ValueError, match="geometry"):
+            NetworkInstance(gains=[[1.0]], noise=[1.0], sinr_targets=[1.0], budgets=[1.0],
+                            geometry=[1, 2])
+
     def test_alpha_out_of_range(self, three_link):
         with pytest.raises(ValueError):
             three_link.with_alpha(1.0)  # alpha1 = 1/3
@@ -206,6 +208,21 @@ class TestSerialization:
         back = NetworkInstance.from_json(inst.to_json())
         assert back.gains == pytest.approx(inst.gains, rel=1e-15)
         assert back.geometry["tx_m"] == pytest.approx(inst.geometry["tx_m"])
+
+    @pytest.mark.parametrize("geometry,message", [
+        ({"tx_m": None}, "shape"),
+        ({"tx_m": [[1.0, float("nan")]] * 3}, "finite"),
+        ({"tx_m": [[1.0, float("nan")]]}, "shape"),
+        ({"rx_m": [1.0, 2.0, 3.0]}, "shape"),
+        ({"rx_m": [["a", "b"]] * 3}, "numeric"),
+    ], ids=["null", "nan", "short-nan", "flat", "strings"])
+    def test_bad_geometry_rejected(self, three_link_instance, geometry, message):
+        # Unchecked, to_json would write these back, NaN as non-standard JSON.
+        doc = json.loads(three_link_instance.to_json())
+        doc["geometry"] = geometry
+        with pytest.raises(ValueError, match=message) as err:
+            NetworkInstance.from_json(json.dumps(doc))
+        assert "geometry" in str(err.value)
 
     def test_bad_version_rejected(self, three_link_instance):
         doc = json.loads(three_link_instance.to_json())

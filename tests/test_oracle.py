@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from jpac import kernel, oracle
 from jpac.admission import admissible
-from jpac.network import NormalizedProblem, normalize, select_alpha
+from jpac.network import NormalizedProblem, normalize
 from jpac.oracle import (ENUMERATION_GUARD, LP_GUARD, EnumerationResult, enumerate_l0,
                          estimate_qbar, lp_exact)
 from jpac.scenario import ScenarioConfig, generate
@@ -67,7 +67,6 @@ class TestEnumerate:
     def test_best_x_is_min_power_solution(self):
         for seed in range(10):
             prob = random_problem(6, seed)
-            prob = prob.with_alpha(select_alpha(prob))
             res = enumerate_l0(prob)
             support = list(res.best_support)
             x = np.zeros(6)
@@ -81,7 +80,6 @@ class TestEnumerate:
         config = kernel.SolverConfig(epsilon=1e-6)
         for seed in range(10):
             prob = random_problem(5, seed)
-            prob = prob.with_alpha(select_alpha(prob))
             bench = enumerate_l0(prob)
             aug = kernel.augment(prob, q=0.5)
             res = kernel.multistart_solve(aug, config, 20, seed)
@@ -105,7 +103,7 @@ class TestEnumerateReference:
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8), scale=st.sampled_from([1.0, 0.707]))
     def test_random_scenarios(self, seed, K, scale):
         prob = normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=scale)))
-        _assert_matches_reference(prob.with_alpha(select_alpha(prob)))
+        _assert_matches_reference(prob)
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(b=st.lists(st.sampled_from([1e-12, 0.25, 0.5, 1.5]) | st.floats(0.05, 1.5),
@@ -116,7 +114,7 @@ class TestEnumerateReference:
         # out ties the optimum to within alpha * b_k.
         K = len(b)
         prob = NormalizedProblem(A=np.eye(K), b=b, budgets=np.ones(K))
-        res = _assert_matches_reference(prob.with_alpha(select_alpha(prob)))
+        res = _assert_matches_reference(prob)
         assert res.best_support == tuple(k for k in range(K) if 1e-9 < b[k] <= 1.0)
         assert res.is_unique_support == all(v > 1e-9 for v in b)
 
@@ -129,7 +127,7 @@ class TestEnumerateReference:
         A = np.full((K, K), -c)
         np.fill_diagonal(A, 1.0)
         prob = NormalizedProblem(A=A, b=np.full(K, b0), budgets=np.ones(K))
-        res = _assert_matches_reference(prob.with_alpha(select_alpha(prob)))
+        res = _assert_matches_reference(prob)
         size = len(res.best_support)
         assert res.best_support == tuple(range(size))
         assert res.is_unique_support == (size in (0, K))
@@ -147,7 +145,6 @@ class TestLpExact:
         config = kernel.SolverConfig(epsilon=1e-6)
         for seed in range(8):
             prob = random_problem(6, seed)
-            prob = prob.with_alpha(select_alpha(prob))
             x_lp = lp_exact(prob)
             lp_obj = float(np.sum(prob.b - prob.A @ x_lp) + prob.alpha * (prob.budgets @ x_lp))
             aug = kernel.augment(prob, q=1.0)
@@ -183,6 +180,14 @@ class TestEstimateQbar:
         monkeypatch.setattr(oracle, "enumerate_l0", never)
         with pytest.raises(ValueError, match="n_starts"):
             estimate_qbar(three_link, n_starts=0)
+
+    def test_seed_checked_before_enumeration(self, three_link, monkeypatch):
+        def never(problem):
+            raise AssertionError("enumerate_l0 ran before seed was checked")
+
+        monkeypatch.setattr(oracle, "enumerate_l0", never)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_qbar(three_link, n_starts=2, seed=-1)
 
     def test_monotone_in_grid(self, three_link, monkeypatch):
         # Dropping grid points below the returned exponent changes nothing.
