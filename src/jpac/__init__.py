@@ -24,15 +24,13 @@ from .kernel import (
 from .admission import (
     AdmissionResult,
     admissible,
-    foschini_miljanic,
-    necessary_condition,
     postprocess,
     preprocess,
     removal_candidate,
     run_lqmd,
     run_nlpd,
 )
-from .oracle import EnumerationResult, enumerate_l0, estimate_qbar, lp_exact
+from .oracle import EnumerationResult, enumerate_l0, estimate_qbar
 
 __all__ = [
     "NetworkInstance", "NormalizedProblem", "normalize", "restrict",
@@ -41,8 +39,7 @@ __all__ = [
     "AugmentedProblem", "KktCertificate", "MultistartResult", "SolverConfig",
     "augment", "interior_point_default", "interior_point_random",
     "multistart_solve", "round_to_power", "solve_potential_reduction",
-    "AdmissionResult", "admissible", "foschini_miljanic",
-    "necessary_condition", "postprocess", "preprocess",
+    "AdmissionResult", "admissible", "postprocess", "preprocess",
     "removal_candidate", "run_lqmd", "run_nlpd",
-    "EnumerationResult", "enumerate_l0", "estimate_qbar", "lp_exact",
+    "EnumerationResult", "enumerate_l0", "estimate_qbar",
 ]

@@ -77,7 +77,7 @@ class AugmentedProblem:
     """Slack form with exponent q: A~ = [[A, I, 0], [I, 0, I]], b~ = (b; e).
 
     Only A (K x K), b and c~ (K,) are stored, since the iteration works on
-    the blocks; A_tilde and b_tilde build A~ and b~ on demand.
+    the blocks; tests/reference.py builds A~ and b~ for the tests.
     """
 
     A: np.ndarray
@@ -97,15 +97,6 @@ class AugmentedProblem:
     @property
     def K(self) -> int:
         return self.b.shape[0]
-
-    @property
-    def A_tilde(self) -> np.ndarray:
-        eye, zero = np.eye(self.K), np.zeros((self.K, self.K))
-        return np.block([[self.A, eye, zero], [eye, zero, eye]])
-
-    @property
-    def b_tilde(self) -> np.ndarray:
-        return np.concatenate([self.b, np.ones(self.K)])
 
 
 @dataclass(frozen=True)

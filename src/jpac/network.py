@@ -119,13 +119,20 @@ class NetworkInstance:
                    if name not in doc]
         if missing:
             raise ValueError(f"instance is missing fields: {missing}")
-        return cls(
+        unknown = sorted(set(doc) - {"version", "K", "geometry", "gains", "noise_w",
+                                     "sinr_targets_linear", "budgets_w"})
+        if unknown:
+            raise ValueError(f"unknown instance fields: {unknown}")
+        instance = cls(
             gains=doc["gains"],
             noise=doc["noise_w"],
             sinr_targets=doc["sinr_targets_linear"],
             budgets=doc["budgets_w"],
             geometry=doc.get("geometry"),
         )
+        if "K" in doc and doc["K"] != instance.K:
+            raise ValueError(f"field K is {doc['K']!r} but gains is {instance.K} x {instance.K}")
+        return instance
 
 
 @dataclass(frozen=True)
@@ -239,13 +246,20 @@ def select_alpha(normalized: NormalizedProblem) -> float:
     return ALPHA_FRACTION * normalized.alpha1
 
 
+def index_set(S, k: int) -> np.ndarray:
+    """S as an ascending int array of distinct row positions in range(k), else ValueError."""
+    # On a few links, list ends and a set cost less than array comparisons.
+    rows = sorted(S)
+    if not rows:
+        raise ValueError("S must be nonempty")
+    if rows[0] < 0 or rows[-1] >= k or len(set(rows)) != len(rows):
+        raise ValueError("S must be a set of valid row indices")
+    return np.asarray(rows, dtype=int)
+
+
 def restrict(normalized: NormalizedProblem, S) -> NormalizedProblem:
     """Sub-problem (A_SS, b_S, pbar_S) on the row indices S; alpha carries over."""
-    idx = np.asarray(sorted(S), dtype=int)
-    if idx.size == 0:
-        raise ValueError("S must be nonempty")
-    if idx[0] < 0 or idx[-1] >= normalized.K or len(set(idx.tolist())) != idx.size:
-        raise ValueError("S must be a set of valid row indices")
+    idx = index_set(S, normalized.K)
     return NormalizedProblem(
         A=normalized.A[np.ix_(idx, idx)],
         b=normalized.b[idx],

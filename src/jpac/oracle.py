@@ -1,9 +1,6 @@
-"""Exact small-scale references: brute-force enumeration, an exact LP oracle,
-and the heuristic grid search for the recovery exponent.
-
-These are test-time ground truth, guarded to desk-scale sizes (the
-enumeration costs 2^K linear solves, the LP oracle enumerates all K-subsets
-of 3K constraints).
+"""Exact small-scale optimum by subset enumeration (2^K - 1 solves, guarded to
+desk-scale K), and the grid search for the recovery exponent that scores
+multistart solves against it.  The l1 LP oracle is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from .admission import admissible
 from .network import NormalizedProblem, select_alpha
 
 ENUMERATION_GUARD = 20
-LP_GUARD = 8
 ZERO_TOL = 1e-9   # enumerate_l0 counts a link as served when |b - A x|_k <= ZERO_TOL
 # estimate_qbar's exponents 0.01, 0.02, ..., 1.00, ascending.
 QBAR_GRID = tuple(float(q) for q in np.round(np.arange(0.01, 1.0 + 1e-12, 0.01), 10))
@@ -87,42 +83,6 @@ def enumerate_l0(problem: NormalizedProblem) -> EnumerationResult:
         objective=float(obj[best]),
         is_unique_support=int(np.count_nonzero(obj <= obj[best] + 1e-9)) == 1,
     )
-
-
-def lp_exact(problem: NormalizedProblem) -> np.ndarray:
-    """Exact optimum of the l1 reformulation's LP by vertex enumeration.
-
-    The polyhedron {A x <= b, 0 <= x <= e} has 3K inequality rows; every
-    vertex is the solution of K active rows.  Feasibility filtering handles
-    degeneracy; ties go to the lexicographically smallest x.
-    """
-    k = problem.K
-    if k > LP_GUARD:
-        raise ValueError(f"LP oracle guarded to K <= {LP_GUARD}")
-    alpha = problem.alpha
-    G = np.vstack([problem.A, np.eye(k), -np.eye(k)])
-    h = np.concatenate([problem.b, np.ones(k), np.zeros(k)])
-
-    best_x = None
-    best_obj = None
-    for rows in combinations(range(3 * k), k):
-        sub = G[list(rows)]
-        try:
-            x = np.linalg.solve(sub, h[list(rows)])
-        except np.linalg.LinAlgError:
-            continue
-        if np.any(G @ x > h + 1e-9):
-            continue
-        obj = float(np.sum(problem.b - problem.A @ x) + alpha * (problem.budgets @ x))
-        if (
-            best_obj is None
-            or obj < best_obj - 1e-12
-            or (abs(obj - best_obj) <= 1e-12 and tuple(x) < tuple(best_x))
-        ):
-            best_obj, best_x = obj, x
-    if best_x is None:
-        raise RuntimeError("no feasible vertex found")
-    return np.clip(best_x, 0.0, 1.0)
 
 
 def estimate_qbar(

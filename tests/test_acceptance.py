@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from jpac import kernel
-from jpac.admission import admissible, foschini_miljanic
+from jpac.admission import admissible
 from jpac.harness import ExperimentConfig, run_experiment
 from jpac.network import NormalizedProblem
-from jpac.oracle import lp_exact
 from jpac.scenario import ScenarioConfig, generate
 
 import conftest
 from conftest import X3_STAR, random_problem
+from reference import foschini_miljanic, lp_exact
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from jpac import admission, kernel
 from jpac.admission import (
     admissible,
-    foschini_miljanic,
-    necessary_condition,
     postprocess,
     preprocess,
     removal_candidate,
@@ -22,6 +20,7 @@ from jpac.oracle import enumerate_l0
 from jpac.scenario import ScenarioConfig, generate
 
 from conftest import fail_first_schur_solve, random_problem
+from reference import foschini_miljanic, necessary_condition
 
 
 def _diag_problem(K=2, b=0.5, alpha=None):
@@ -60,6 +59,15 @@ class TestAdmissible:
     def test_empty_rejected(self, three_link):
         with pytest.raises(ValueError):
             admissible(three_link, [])
+
+    @pytest.mark.parametrize("S", [[-1], [0, 0], [3], [1, 3]],
+                             ids=["negative", "duplicate", "past-end", "one-past-end"])
+    def test_invalid_positions_rejected_as_restrict_rejects_them(self, three_link, S):
+        # Unchecked, [-1] wrapped to row 2 and came back admissible, and
+        # [0, 0] solved a singular block and came back None.
+        for fn in (admissible, restrict):
+            with pytest.raises(ValueError, match="valid row indices"):
+                fn(three_link, S)
 
     def test_orthogonal(self):
         prob = _diag_problem(K=3, b=0.4)

@@ -11,6 +11,7 @@ from jpac import kernel
 from jpac.network import NormalizedProblem
 
 from conftest import ALPHA3, X3_STAR, fail_first_schur_solve, random_problem
+from reference import a_tilde, b_tilde
 
 
 def _grad_f(W, aug):
@@ -25,7 +26,7 @@ def _grad_f(W, aug):
 def _direction_gradient(W, aug, rho=1e4):
     """The gradient the iteration uses: resid + A~^T lam from _projected_direction."""
     lam, resid, _, _, _ = kernel._projected_direction(W, kernel._batch_objective(W, aug), aug, rho)
-    return resid + lam @ aug.A_tilde
+    return resid + lam @ a_tilde(aug)
 
 
 def _single_link_aug(q=0.5, alpha=0.2):
@@ -41,23 +42,23 @@ def aug3(three_link):
 class TestAugment:
     def test_single_link_blocks(self):
         aug = _single_link_aug(q=1.0)
-        assert aug.A_tilde == pytest.approx(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
-        assert aug.b_tilde == pytest.approx([1.0, 1.0])
+        assert a_tilde(aug) == pytest.approx(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
+        assert b_tilde(aug) == pytest.approx([1.0, 1.0])
         assert aug.c_tilde == pytest.approx([0.2])
 
     def test_three_link_blocks(self, three_link, aug3):
-        assert aug3.A_tilde.shape == (6, 9)
+        assert a_tilde(aug3).shape == (6, 9)
         eye, zero = np.eye(3), np.zeros((3, 3))
         expected = np.block([[three_link.A, eye, zero], [eye, zero, eye]])
-        assert aug3.A_tilde == pytest.approx(expected)
-        assert aug3.b_tilde == pytest.approx([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
+        assert a_tilde(aug3) == pytest.approx(expected)
+        assert b_tilde(aug3) == pytest.approx([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
         assert aug3.c_tilde == pytest.approx(np.full(3, ALPHA3))
 
     def test_full_row_rank(self):
         for seed in range(5):
             prob = random_problem(5, seed).with_alpha(0.01)
             aug = kernel.augment(prob, q=0.7)
-            assert np.linalg.matrix_rank(aug.A_tilde) == 10
+            assert np.linalg.matrix_rank(a_tilde(aug)) == 10
 
     def test_invalid_q(self, three_link):
         with pytest.raises(ValueError):
@@ -137,7 +138,7 @@ class TestInteriorPoints:
             xi = rng.uniform(1e-3, 1.0 - 1e-3, size=10)
             w = kernel.interior_point_random(aug, xi)
             assert np.all(w > 0.0)
-            assert np.max(np.abs(aug.A_tilde @ w - aug.b_tilde)) <= 1e-10
+            assert np.max(np.abs(a_tilde(aug) @ w - b_tilde(aug))) <= 1e-10
 
     def test_default_feasible_and_bounded_below(self):
         for seed in range(10):
@@ -146,7 +147,7 @@ class TestInteriorPoints:
             w0 = kernel.interior_point_default(aug)
             m = np.minimum(aug.b, 1.0)
             assert np.min(w0) >= np.min(m) / 2.0 - 1e-15
-            assert np.max(np.abs(aug.A_tilde @ w0 - aug.b_tilde)) <= 1e-10
+            assert np.max(np.abs(a_tilde(aug) @ w0 - b_tilde(aug))) <= 1e-10
 
     def test_xi_outside_margin_rejected(self, aug3):
         with pytest.raises(ValueError):
@@ -164,9 +165,9 @@ class TestReductionStep:
         w = kernel.interior_point_default(aug3)
         f = kernel._batch_objective(w[None, :], aug3)[0]
         grad = _grad_f(w[None, :], aug3)[0]
-        AW = aug3.A_tilde * w[None, :]
+        AW = a_tilde(aug3) * w[None, :]
         lam = np.linalg.solve(AW @ AW.T, AW @ (w * grad - f / rho))
-        g = 1.0 - (rho / f) * w * (grad - aug3.A_tilde.T @ lam)
+        g = 1.0 - (rho / f) * w * (grad - a_tilde(aug3).T @ lam)
         w_beta = w * (1.0 + (kernel.STEP_BETA / np.linalg.norm(g)) * g)
         phi_beta = kernel._batch_potential(w_beta[None, :], aug3, rho)[0]
 
@@ -175,7 +176,7 @@ class TestReductionStep:
         assert cert.termination == kernel.ITERATION_CAP and cert.iterations == 1
         assert kernel._batch_potential(new[None, :], aug3, rho)[0] <= phi_beta + 1e-12
         assert np.all(new > 0.0)
-        assert np.max(np.abs(aug3.A_tilde @ new - aug3.b_tilde)) <= 1e-10
+        assert np.max(np.abs(a_tilde(aug3) @ new - b_tilde(aug3))) <= 1e-10
 
     def test_potential_decrease_and_feasibility(self, tmp_path, monkeypatch):
         for seed in range(5):
@@ -194,7 +195,7 @@ class TestReductionStep:
                 with monkeypatch.context() as m:
                     m.setattr(kernel, "ITER_CAP_ABS", j)
                     w, _ = kernel.solve_potential_reduction(aug, kernel.SolverConfig(epsilon=1e-3), w0)
-                assert np.max(np.abs(aug.A_tilde @ w - aug.b_tilde)) <= 1e-10
+                assert np.max(np.abs(a_tilde(aug) @ w - b_tilde(aug))) <= 1e-10
                 assert np.all(w > 0.0)
 
     def test_converged_component_bounds(self, aug3):
@@ -202,7 +203,7 @@ class TestReductionStep:
         config = kernel.SolverConfig(epsilon=1e-3)
         w, cert = kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))
         assert cert.termination == kernel.EPS_KKT
-        resid = _grad_f(w[None, :], aug3)[0] - aug3.A_tilde.T @ cert.lam
+        resid = _grad_f(w[None, :], aug3)[0] - a_tilde(aug3).T @ cert.lam
         scaled = (config.rho(aug3.K, aug3.q) / cert.f_value) * w * resid
         assert np.all(scaled >= -1e-8)
         assert np.all(scaled <= 2.0 + 1e-8)
@@ -251,14 +252,14 @@ class TestProjectedDirection:
             _, _, g, _, _ = kernel._projected_direction(W, f, aug, rho)
             grad = _grad_f(W, aug)
             for n in range(W.shape[0]):
-                M = aug.A_tilde * W[n]
+                M = a_tilde(aug) * W[n]
                 u = 1.0 - (rho / f[n]) * W[n] * grad[n]
                 y = np.linalg.lstsq(M.T, u, rcond=None)[0]
                 bound = 100.0 * np.linalg.cond(M) * eps * np.linalg.norm(u)
                 assert np.linalg.norm(g[n] - (u - M.T @ y)) <= bound
                 # A step w o (1 + t g) moves A~ w by t A~ W g.
                 drift = np.linalg.norm(M @ g[n])
-                assert drift <= 1e-5 * np.linalg.norm(aug.A_tilde, 2) * np.linalg.norm(W[n] * g[n])
+                assert drift <= 1e-5 * np.linalg.norm(a_tilde(aug), 2) * np.linalg.norm(W[n] * g[n])
 
 
 class TestSolveNormal:
@@ -460,7 +461,7 @@ class TestSolve:
     def test_final_iterate_feasible(self, aug3):
         config = kernel.SolverConfig(epsilon=1e-4)
         w, _ = kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))
-        assert np.max(np.abs(aug3.A_tilde @ w - aug3.b_tilde)) <= 1e-10
+        assert np.max(np.abs(a_tilde(aug3) @ w - b_tilde(aug3))) <= 1e-10
         assert np.all(w > 0.0)
 
     def test_primal_residual_recorded(self, aug3):
@@ -469,7 +470,7 @@ class TestSolve:
         for problem in (aug3, aug):
             w, cert = kernel.solve_potential_reduction(
                 problem, config, kernel.interior_point_default(problem))
-            expected = np.max(np.abs(problem.A_tilde @ w - problem.b_tilde))
+            expected = np.max(np.abs(a_tilde(problem) @ w - b_tilde(problem)))
             assert cert.primal_residual == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_iteration_cap_termination(self, aug3, monkeypatch):

@@ -2,11 +2,11 @@
 
 A has unit diagonal and non-positive off-diagonals and b > 0, so one solve
 x = A_SS^{-1} b_S with x >= 0 certifies a nonsingular M-matrix.  Each test
-here keeps the older, longer formulation as the reference:
+here keeps the older, longer formulation, from reference.py, as the reference:
 
 - admissible: the identity-column solve that also checks A_SS^{-1} >= 0;
 - the full-set solve that admissible runs on S = all links: the dense
-  eigensolve rho(I - A) >= 1 (_ref_spectral_radius).  select_alpha no
+  eigensolve rho(I - A) >= 1 (reference.spectral_radius).  select_alpha no
   longer reads that verdict; the same tests pin that it returns
   0.2 * alpha1 under both verdicts;
 - postprocess: the sequential loop, repeated until a pass admits nothing;
@@ -24,67 +24,13 @@ from jpac.admission import admissible, postprocess, preprocess, run_lqmd
 from jpac.network import NormalizedProblem, m_matrix_solve, normalize, select_alpha
 from jpac.scenario import ScenarioConfig, generate
 
+import reference
+
 DENSITIES = st.sampled_from([1.0, 0.707])
 
 
 def _scenario(K: int, seed: int, distance_scale: float = 1.0) -> NormalizedProblem:
     return normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=distance_scale)))
-
-
-def _ref_spectral_radius(M) -> float:
-    """Spectral radius max|eigvals(M)| by dense eigensolve."""
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
-def _ref_admissible(problem, S, atol=1e-10):
-    """Identity-column formulation: x_S plus the columns of A_SS^{-1}."""
-    idx = np.asarray(sorted(S), dtype=int)
-    A_ss = problem.A[np.ix_(idx, idx)]
-    rhs = np.column_stack([problem.b[idx], np.eye(idx.size)])
-    try:
-        sol = np.linalg.solve(A_ss, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    x_s, inv = sol[:, 0], sol[:, 1:]
-    if np.any(x_s < -atol) or np.any(x_s > 1.0 + atol) or np.any(inv < -atol):
-        return None
-    return np.clip(x_s, 0.0, 1.0)
-
-
-def _ref_postprocess(problem, admitted, removed):
-    """Sequential re-admission in reverse removal order, passes to fixpoint."""
-    current = sorted(admitted)
-    pending = list(removed)
-    changed = True
-    while changed and pending:
-        changed = False
-        for link in reversed(list(pending)):
-            if _ref_admissible(problem, current + [link]) is not None:
-                current = sorted(current + [link])
-                pending.remove(link)
-                changed = True
-    return current
-
-
-def _ref_preprocess(problem):
-    """Slice loop: rescore the restricted A after every removal."""
-
-    def necessary(A, b):
-        mu = A.T @ np.ones(b.size)
-        return float(np.sum(np.maximum(mu, 0.0)) - (np.maximum(-mu, 0.0) + 1.0) @ b) >= 0.0
-
-    def scores(A, b):
-        absA = np.abs(A)
-        np.fill_diagonal(absA, 0.0)
-        return absA.sum(axis=1) + absA.sum(axis=0) + b
-
-    keep = list(range(problem.K))
-    removed = []
-    A, b = problem.A, problem.b
-    while len(keep) >= 2 and not necessary(A, b):
-        removed.append(keep.pop(int(np.argmax(scores(A, b)))))
-        A, b = problem.A[np.ix_(keep, keep)], problem.b[keep]
-    return keep, removed
 
 
 def _high_interference(problem) -> bool:
@@ -105,7 +51,7 @@ class TestAdmissibleEquivalence:
         prob = _scenario(K, seed, scale)
         for size in range(1, K + 1):
             for S in combinations(range(K), size):
-                got, ref = admissible(prob, S), _ref_admissible(prob, S)
+                got, ref = admissible(prob, S), reference.admissible(prob, S)
                 assert (got is None) == (ref is None), S
                 if ref is not None:
                     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
@@ -123,7 +69,7 @@ class TestAdmissibleEquivalence:
         # A_SS = [[1, -1], [-1, 1]] is singular: rho(I - A_SS) = 1 exactly.
         prob = NormalizedProblem(A=[[1.0, -1.0], [-1.0, 1.0]], b=[0.5, 0.5], budgets=[1.0, 1.0])
         assert admissible(prob, [0, 1]) is None
-        assert _ref_admissible(prob, [0, 1]) is None
+        assert reference.admissible(prob, [0, 1]) is None
         assert admissible(prob, [1]) == pytest.approx([0.5])
 
 
@@ -133,7 +79,7 @@ class TestSelectAlphaEquivalence:
         verdicts = []
         for seed in range(20):
             prob = _scenario(K, seed)
-            expected = _ref_spectral_radius(np.eye(K) - prob.A) >= 1.0
+            expected = reference.spectral_radius(np.eye(K) - prob.A) >= 1.0
             assert _high_interference(prob) == expected, seed
             assert select_alpha(prob) == 0.2 * prob.alpha1, seed
             verdicts.append(expected)
@@ -156,7 +102,7 @@ class TestSelectAlphaEquivalence:
             run_lqmd(prob, q=0.5, n_starts=2, seed=seed)
         rounds = [p for p in seen if p.K < 24]
         assert len(rounds) >= 8
-        verdicts = [_ref_spectral_radius(np.eye(p.K) - p.A) >= 1.0 for p in seen]
+        verdicts = [reference.spectral_radius(np.eye(p.K) - p.A) >= 1.0 for p in seen]
         assert [_high_interference(p) for p in seen] == verdicts
         assert all(select_alpha(p) == 0.2 * p.alpha1 for p in seen)
         assert any(verdicts) and not all(verdicts)
@@ -166,7 +112,7 @@ class TestSelectAlphaEquivalence:
         # tie; a power iteration returned 49419.8 on this instance.
         prob = _scenario(100, 3)
         M = np.eye(100) - prob.A
-        rho = _ref_spectral_radius(M)
+        rho = reference.spectral_radius(M)
         # Gelfand's formula: ||M^(2^j)||^(1/2^j) -> rho, by repeated squaring.
         P, log_rho = M, 0.0
         for j in range(30):
@@ -194,11 +140,11 @@ class TestPostprocessEquivalence:
         n_admitted = data.draw(st.integers(0, K - 1))
         # Deflation hands over an admissible set: shrink the prefix until it is.
         admitted = list(order[:n_admitted])
-        while admitted and _ref_admissible(prob, admitted) is None:
+        while admitted and reference.admissible(prob, admitted) is None:
             admitted.pop()
         removed = [k for k in order if k not in admitted]
         got, x = postprocess(prob, admitted, removed)
-        assert got == _ref_postprocess(prob, admitted, removed)
+        assert got == reference.postprocess(prob, admitted, removed)
         # x belongs to the returned set: the solve of its last admitting scan.
         if x is not None:
             assert x == pytest.approx(admissible(prob, got), rel=1e-12, abs=0.0)
@@ -213,7 +159,7 @@ class TestPostprocessEquivalence:
         admitted = [k for k in order[:n_admitted] if b[k] <= 1.0]
         removed = [k for k in order if k not in admitted]
         got = postprocess(prob, admitted, removed)[0]
-        assert got == _ref_postprocess(prob, admitted, removed)
+        assert got == reference.postprocess(prob, admitted, removed)
         assert got == [k for k in range(K) if b[k] <= 1.0]
 
     def test_two_interfering_pairs(self):
@@ -224,7 +170,7 @@ class TestPostprocessEquivalence:
         prob = NormalizedProblem(A=A, b=np.full(4, 0.5), budgets=np.ones(4))
         for removed in ([0, 1, 2, 3], [3, 1, 2, 0], [2, 0, 3, 1]):
             got = postprocess(prob, [], removed)[0]
-            assert got == _ref_postprocess(prob, [], removed)
+            assert got == reference.postprocess(prob, [], removed)
             assert got == sorted(max(pair, key=removed.index) for pair in ((0, 1), (2, 3)))
 
     def test_singular_candidate_does_not_raise(self):
@@ -241,11 +187,11 @@ class TestPreprocessEquivalence:
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 64), scale=DENSITIES)
     def test_matches_slice_loop(self, seed, K, scale):
         prob = _scenario(K, seed, scale)
-        assert preprocess(prob) == _ref_preprocess(prob)
+        assert preprocess(prob) == reference.preprocess(prob)
 
     def test_dense_instance_removes_many(self):
         # The equivalence needs long removal chains to mean anything.
         prob = _scenario(64, 1, 0.707)
         _, removed = preprocess(prob)
-        assert removed == _ref_preprocess(prob)[1]
+        assert removed == reference.preprocess(prob)[1]
         assert len(removed) >= 32

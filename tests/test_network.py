@@ -224,6 +224,24 @@ class TestSerialization:
             NetworkInstance.from_json(json.dumps(doc))
         assert "geometry" in str(err.value)
 
+    @pytest.mark.parametrize("K", [7, 0, "3"])
+    def test_mismatched_K_rejected(self, three_link_instance, K):
+        doc = json.loads(three_link_instance.to_json())
+        doc["K"] = K
+        with pytest.raises(ValueError, match=r"field K is .* but gains is 3 x 3"):
+            NetworkInstance.from_json(json.dumps(doc))
+
+    def test_K_may_be_left_out(self, three_link_instance):
+        doc = json.loads(three_link_instance.to_json())
+        del doc["K"]
+        assert NetworkInstance.from_json(json.dumps(doc)).K == 3
+
+    def test_unknown_fields_rejected_by_name(self):
+        doc = {"version": 1, "K": 1, "gains": [[1.0]], "noise_w": [1.0],
+               "sinr_targets_linear": [1.0], "budgets_w": [1.0], "gian": 3, "budget_w": [2.0]}
+        with pytest.raises(ValueError, match=r"unknown instance fields: \['budget_w', 'gian'\]"):
+            NetworkInstance.from_json(json.dumps(doc))
+
     def test_bad_version_rejected(self, three_link_instance):
         doc = json.loads(three_link_instance.to_json())
         doc["version"] = 99

@@ -1,4 +1,4 @@
-"""Brute-force enumeration, exact LP oracle, and recovery-exponent search."""
+"""Brute-force enumeration, the reference LP oracle, and recovery-exponent search."""
 
 import json
 from itertools import combinations
@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from jpac import kernel, oracle
 from jpac.admission import admissible
 from jpac.network import NormalizedProblem, normalize
-from jpac.oracle import (ENUMERATION_GUARD, LP_GUARD, EnumerationResult, enumerate_l0,
-                         estimate_qbar, lp_exact)
+from jpac.oracle import ENUMERATION_GUARD, EnumerationResult, enumerate_l0, estimate_qbar
 from jpac.scenario import ScenarioConfig, generate
 
 from conftest import ALPHA3, X3_STAR, random_problem
+from reference import LP_GUARD, lp_exact
 
 
 def _diag_problem(K, b, alpha):
