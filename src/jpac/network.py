@@ -252,9 +252,11 @@ def index_set(S, k: int) -> np.ndarray:
     rows = sorted(S)
     if not rows:
         raise ValueError("S must be nonempty")
-    if rows[0] < 0 or rows[-1] >= k or len(set(rows)) != len(rows):
+    idx = np.asarray(rows)
+    # The dtype kind rejects floats and bools, which indexing would truncate or cast.
+    if idx.dtype.kind not in "iu" or rows[0] < 0 or rows[-1] >= k or len(set(rows)) != len(rows):
         raise ValueError("S must be a set of valid row indices")
-    return np.asarray(rows, dtype=int)
+    return idx
 
 
 def restrict(normalized: NormalizedProblem, S) -> NormalizedProblem:

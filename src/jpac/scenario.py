@@ -1,10 +1,12 @@
 """Seeded random generation of network instances.
 
-Transmitters are dropped uniformly on a square, each receiver uniformly on
-a disc around its transmitter, gains follow an inverse fourth-power path
-loss, and every budget is twice the interference-free minimum power.  That
-budget rule forces the normalized noise vector to 0.5 * e exactly, which a
-few downstream checks rely on.
+The paper's one deployment: transmitters are dropped uniformly on a square,
+each receiver uniformly on a disc of RX_RADIUS_M around its transmitter,
+gains follow the path loss d^-PATHLOSS_EXPONENT, every link has the SINR
+target SINR_TARGET_DB and the noise NOISE_DBM, and every budget is
+BUDGET_MULTIPLIER times the interference-free minimum power.  That budget
+rule forces the normalized noise vector to 0.5 * e exactly, which
+test_normalized_noise_is_half checks and a few downstream checks rely on.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ import numpy as np
 from .network import NetworkInstance
 
 
+RX_RADIUS_M = 400.0
+PATHLOSS_EXPONENT = 4.0
+SINR_TARGET_DB = 2.0
+NOISE_DBM = -90.0
+BUDGET_MULTIPLIER = 2.0
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -28,15 +37,10 @@ def db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Deployment geometry and radio parameters of the random scenario."""
+    """The deployment's size, distance scaling and seed."""
 
     K: int
     square_side: float = 2000.0        # meters
-    rx_radius: float = 400.0           # meters
-    pathloss_exponent: float = 4.0
-    sinr_target_db: float = 2.0
-    noise_dbm: float = -90.0
-    budget_multiplier: float = 2.0
     distance_scale: float = 1.0        # 0.707 for the high-interference variant
     seed: int = 0
 
@@ -48,9 +52,8 @@ class ScenarioConfig:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        for name in ("square_side", "rx_radius", "pathloss_exponent", "budget_multiplier"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.square_side <= 0:
+            raise ValueError("square_side must be positive")
         if not (0.0 < self.distance_scale <= 1.0):
             raise ValueError("distance_scale must lie in (0, 1]")
 
@@ -66,7 +69,7 @@ def generate(config: ScenarioConfig) -> NetworkInstance:
     k = config.K
     tx = rng.uniform(0.0, config.square_side, size=(k, 2))
     # Receiver uniform on the disc: r = R * sqrt(u) at a uniform angle.
-    radius = config.rx_radius * np.sqrt(rng.uniform(0.0, 1.0, size=k))
+    radius = RX_RADIUS_M * np.sqrt(rng.uniform(0.0, 1.0, size=k))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=k)
     rx = tx + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
 
@@ -74,16 +77,16 @@ def generate(config: ScenarioConfig) -> NetworkInstance:
     # Coincident points have probability zero; resample the receiver if hit.
     while np.any(dist == 0.0):
         bad = np.unique(np.nonzero(dist == 0.0)[0])
-        radius = config.rx_radius * np.sqrt(rng.uniform(0.0, 1.0, size=bad.size))
+        radius = RX_RADIUS_M * np.sqrt(rng.uniform(0.0, 1.0, size=bad.size))
         angle = rng.uniform(0.0, 2.0 * np.pi, size=bad.size)
         rx[bad] = tx[bad] + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
         dist = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=2)
 
-    gains = 1.0 / (config.distance_scale * dist) ** config.pathloss_exponent
-    gamma = np.full(k, db_to_linear(config.sinr_target_db))
-    noise = np.full(k, dbm_to_watts(config.noise_dbm))
+    gains = 1.0 / (config.distance_scale * dist) ** PATHLOSS_EXPONENT
+    gamma = np.full(k, db_to_linear(SINR_TARGET_DB))
+    noise = np.full(k, dbm_to_watts(NOISE_DBM))
     p_min = gamma * noise / np.diag(gains)
-    budgets = config.budget_multiplier * p_min
+    budgets = BUDGET_MULTIPLIER * p_min
     return NetworkInstance(
         gains=gains,
         noise=noise,

@@ -60,11 +60,13 @@ class TestAdmissible:
         with pytest.raises(ValueError):
             admissible(three_link, [])
 
-    @pytest.mark.parametrize("S", [[-1], [0, 0], [3], [1, 3]],
-                             ids=["negative", "duplicate", "past-end", "one-past-end"])
+    @pytest.mark.parametrize("S", [[-1], [0, 0], [3], [1, 3], [1.7], [True], [0.4, 1.9]],
+                             ids=["negative", "duplicate", "past-end", "one-past-end",
+                                  "float", "bool", "floats"])
     def test_invalid_positions_rejected_as_restrict_rejects_them(self, three_link, S):
-        # Unchecked, [-1] wrapped to row 2 and came back admissible, and
-        # [0, 0] solved a singular block and came back None.
+        # Unchecked, [-1] wrapped to row 2 and came back admissible, [0, 0]
+        # solved a singular block and came back None, [1.7] and [True] came
+        # back as row 1's x, and [0.4, 1.9] restricted to rows {0, 1}.
         for fn in (admissible, restrict):
             with pytest.raises(ValueError, match="valid row indices"):
                 fn(three_link, S)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jpac import scenario
 from jpac.network import normalize
 from jpac.scenario import ScenarioConfig, db_to_linear, dbm_to_watts, generate
 
@@ -54,7 +55,7 @@ def test_geometry_constraints():
     assert np.all(tx >= 0.0) and np.all(tx <= cfg.square_side)
     own = np.linalg.norm(rx - tx, axis=1)
     assert np.all(own > 0.0)
-    assert np.all(own <= cfg.rx_radius + 1e-9)
+    assert np.all(own <= scenario.RX_RADIUS_M + 1e-9)
     dist = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=2)
     assert np.all(dist > 0.0)
     assert np.all(np.isfinite(inst.gains)) and np.all(inst.gains > 0.0)
@@ -74,10 +75,10 @@ def test_invalid_config():
     with pytest.raises(ValueError):
         ScenarioConfig(K=3, distance_scale=0.0)
     with pytest.raises(ValueError):
-        ScenarioConfig(K=3, rx_radius=-1.0)
+        ScenarioConfig(K=3, square_side=-1.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), "400"])
 def test_rejects_non_finite_or_non_number_field(value):
-    with pytest.raises(ValueError, match="rx_radius"):
-        ScenarioConfig(K=4, rx_radius=value)
+    with pytest.raises(ValueError, match="square_side"):
+        ScenarioConfig(K=4, square_side=value)
