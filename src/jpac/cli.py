@@ -2,8 +2,11 @@
 
 Subcommands: generate (emit instance JSON files), solve (one instance, one
 algorithm), enumerate (brute-force benchmark), recover-qbar, and experiment
-(the full Monte-Carlo driver).  Exit codes: 0 success, 1 configuration
-error, 2 when any experiment row failed.
+(the full Monte-Carlo driver: `--config FILE` describes the experiment, its
+seed and runs included, and `--out DIR` says where its CSVs go).  Exit
+codes: 0 success, 1 usage or configuration error (a bad or unknown
+argument, an invalid config or instance file), 2 when any experiment row
+failed.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ def _load_instance(path: str) -> NetworkInstance:
 def _cmd_generate(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
-    if args.seed < 0:
-        raise ValueError("--seed must be nonnegative")
-    base = ScenarioConfig(K=args.K, distance_scale=args.distance_scale)   # raises on a bad value
+    # Rejects a bad K, seed or distance scale by name; each instance gets a child seed.
+    base = ScenarioConfig(K=args.K, distance_scale=args.distance_scale, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     import numpy as np
@@ -70,11 +72,8 @@ def _cmd_recover_qbar(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {"seed": args.seed, "runs": args.runs, "output_path": args.out}
-    # replace re-runs ExperimentConfig's checks on the overridden values.
-    config = dataclasses.replace(ExperimentConfig.from_json(Path(args.config).read_text()),
-                                 **{k: v for k, v in overrides.items() if v is not None})
-    out = Path(config.output_path)
+    config = ExperimentConfig.from_json(Path(args.config).read_text())
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows, summary = run_experiment(config)
     rows_path = out / f"{config.experiment}_rows.csv"
@@ -123,16 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a Monte-Carlo experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_experiment)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:   # json.JSONDecodeError is a ValueError

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -22,7 +21,7 @@ from . import kernel
 from .admission import admissible, run_lqmd, run_nlpd
 from .network import normalize
 from .oracle import ENUMERATION_GUARD, enumerate_l0, estimate_qbar
-from .scenario import ScenarioConfig, generate
+from .scenario import ScenarioConfig, generate, is_int, is_real
 
 SUMMARY_FIELDS = ["experiment", "K", "q", "algorithm", "metric", "value"]
 
@@ -37,7 +36,6 @@ class ExperimentConfig:
     # 1e-6 keeps the q ~ 1 residuals well below the support threshold.
     epsilon: float = 1e-6
     seed: int = 0
-    output_path: str = "."
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -45,15 +43,13 @@ class ExperimentConfig:
         # JSON gives any value any type; a wrong one must fail here, by name,
         # not as a TypeError deep inside a run.
         for name in ("runs", "n_starts", "seed"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
-        if not _is_real(self.epsilon):
+        if not is_real(self.epsilon):
             raise ValueError("epsilon must be a number")
-        if not isinstance(self.output_path, str):
-            raise ValueError("output_path must be a string")
-        if not isinstance(self.K_list, list) or not all(map(_is_int, self.K_list)):
+        if not isinstance(self.K_list, list) or not all(map(is_int, self.K_list)):
             raise ValueError("K_list must be a list of integers")
-        if not isinstance(self.q_list, list) or not all(map(_is_real, self.q_list)):
+        if not isinstance(self.q_list, list) or not all(map(is_real, self.q_list)):
             raise ValueError("q_list must be a list of numbers")
         if self.runs < 0:
             raise ValueError("runs must be nonnegative")
@@ -88,14 +84,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**doc)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

@@ -35,6 +35,16 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+# The rules for a config number, shared with harness.ExperimentConfig: bool
+# is an int subclass, and JSON or a caller may pass one by mistake.
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """The deployment's size, distance scaling and seed."""
@@ -47,11 +57,14 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                                      or not math.isfinite(value)):
+            if f.type == "int" and not is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (is_real(value) and math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.K < 1:
             raise ValueError("K must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.square_side <= 0:
             raise ValueError("square_side must be positive")
         if not (0.0 < self.distance_scale <= 1.0):

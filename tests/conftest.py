@@ -1,9 +1,9 @@
-"""Shared fixtures: the three-link textbook problem and random-instance helpers."""
+"""Shared fixtures: the three-link textbook problem and problem-building helpers."""
 
 import numpy as np
 import pytest
 
-from jpac.network import NetworkInstance, NormalizedProblem
+from jpac.network import NetworkInstance, NormalizedProblem, normalize
 from jpac.scenario import ScenarioConfig, generate
 
 # Three-link problem where the lq relaxation recovers the sparse optimum but
@@ -41,11 +41,14 @@ def three_link_instance() -> NetworkInstance:
     )
 
 
-def random_problem(K: int, seed: int) -> NormalizedProblem:
+def random_problem(K: int, seed: int, distance_scale: float = 1.0) -> NormalizedProblem:
     """Normalized problem from the random deployment scenario."""
-    from jpac.network import normalize
+    return normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=distance_scale)))
 
-    return normalize(generate(ScenarioConfig(K=K, seed=seed)))
+
+def diag_problem(K: int = 2, b: float = 0.5, alpha: float | None = None) -> NormalizedProblem:
+    """K interference-free links, each with noise b and unit budget."""
+    return NormalizedProblem(A=np.eye(K), b=np.full(K, b), budgets=np.ones(K), alpha=alpha)
 
 
 def fail_first_schur_solve(monkeypatch) -> None:

@@ -14,11 +14,9 @@ import pytest
 from jpac import kernel
 from jpac.admission import admissible
 from jpac.harness import ExperimentConfig, run_experiment
-from jpac.network import NormalizedProblem
-from jpac.scenario import ScenarioConfig, generate
 
 import conftest
-from conftest import X3_STAR, random_problem
+from conftest import X3_STAR, diag_problem, random_problem
 from reference import foschini_miljanic, lp_exact
 
 
@@ -76,8 +74,7 @@ def corpus(tmp_path_factory):
     # Orthogonal problems with a tiny power weight: the optimum objective is
     # below epsilon, so the solver terminates through the potential threshold.
     for K in (2, 3):
-        prob = NormalizedProblem(A=np.eye(K), b=np.full(K, 0.5),
-                                 budgets=np.ones(K), alpha=1e-9)
+        prob = diag_problem(K, alpha=1e-9)
         aug = kernel.augment(prob, q=0.5)
         w, cert = kernel.solve_potential_reduction(
             aug, ms_config, kernel.interior_point_default(aug))

@@ -19,17 +19,13 @@ from jpac.network import NormalizedProblem, normalize, restrict, select_alpha, s
 from jpac.oracle import enumerate_l0
 from jpac.scenario import ScenarioConfig, generate
 
-from conftest import fail_first_schur_solve, random_problem
+from conftest import diag_problem, fail_first_schur_solve, random_problem
 from reference import foschini_miljanic, necessary_condition
-
-
-def _diag_problem(K=2, b=0.5, alpha=None):
-    return NormalizedProblem(A=np.eye(K), b=np.full(K, b), budgets=np.ones(K), alpha=alpha)
 
 
 def _dense_problem(K: int, seed: int) -> NormalizedProblem:
     # distance_scale 0.707 leaves links after preprocessing that need deflation rounds.
-    return normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=0.707)))
+    return random_problem(K, seed, distance_scale=0.707)
 
 
 class TestAdmissible:
@@ -72,7 +68,7 @@ class TestAdmissible:
                 fn(three_link, S)
 
     def test_orthogonal(self):
-        prob = _diag_problem(K=3, b=0.4)
+        prob = diag_problem(K=3, b=0.4)
         assert admissible(prob, [2, 0]) == pytest.approx([0.4, 0.4])
 
 
@@ -97,7 +93,7 @@ class TestMinPowerAllocation:
 
 class TestFoschiniMiljanic:
     def test_orthogonal_one_step(self):
-        prob = _diag_problem(K=3, b=0.4)
+        prob = diag_problem(K=3, b=0.4)
         assert foschini_miljanic(prob, [0, 1, 2]) == pytest.approx([0.4, 0.4, 0.4])
 
     def test_three_link_pair_one_step(self, three_link):
@@ -123,7 +119,7 @@ class TestNecessaryCondition:
         assert necessary_condition(three_link) is False
 
     def test_orthogonal_true(self):
-        assert necessary_condition(_diag_problem(K=2, b=0.5)) is True
+        assert necessary_condition(diag_problem(K=2, b=0.5)) is True
 
     def test_single_link_threshold(self):
         assert necessary_condition(NormalizedProblem(A=[[1.0]], b=[1.0], budgets=[1.0])) is True
@@ -140,7 +136,7 @@ class TestPreprocess:
         assert necessary_condition(restrict(three_link, keep))
 
     def test_no_removals_when_condition_holds(self):
-        prob = _diag_problem(K=3, b=0.5)
+        prob = diag_problem(K=3, b=0.5)
         keep, removed = preprocess(prob)
         assert removed == []
         assert keep == [0, 1, 2]
@@ -153,7 +149,7 @@ class TestPreprocess:
 
 class TestRemovalCandidate:
     def test_zero_residual_tie_break(self):
-        prob = _diag_problem(K=3, b=0.5)
+        prob = diag_problem(K=3, b=0.5)
         assert removal_candidate(prob, [0.5, 0.5, 0.5]) == 0
 
     def test_three_link_at_optimum(self, three_link):
@@ -161,7 +157,7 @@ class TestRemovalCandidate:
         assert removal_candidate(three_link, [0.5, 0.5, 0.0]) == 2
 
     def test_diagonal_scores_zero(self):
-        assert removal_candidate(_diag_problem(K=2, b=0.3), [0.0, 0.0]) == 0
+        assert removal_candidate(diag_problem(K=2, b=0.3), [0.0, 0.0]) == 0
 
 
 class TestPostprocess:
@@ -169,7 +165,7 @@ class TestPostprocess:
         assert postprocess(three_link, [0, 1], []) == ([0, 1], None)
 
     def test_orthogonal_readmits(self):
-        prob = _diag_problem(K=2, b=0.5)
+        prob = diag_problem(K=2, b=0.5)
         admitted, x = postprocess(prob, [0], [1])
         assert admitted == [0, 1]
         assert x == pytest.approx([0.5, 0.5])
@@ -179,7 +175,7 @@ class TestPostprocess:
 
     def test_multi_pass_reaches_fixpoint(self):
         # Re-admitting one link can unlock another on orthogonal problems.
-        prob = _diag_problem(K=3, b=0.5)
+        prob = diag_problem(K=3, b=0.5)
         admitted, x = postprocess(prob, [0], [2, 1])
         assert admitted == [0, 1, 2]
         assert x == pytest.approx([0.5, 0.5, 0.5])
@@ -194,7 +190,7 @@ class TestRunNlpd:
         assert result.readmitted == []
 
     def test_orthogonal_admits_all(self):
-        result = run_nlpd(_diag_problem(K=4, b=0.5, alpha=0.05))
+        result = run_nlpd(diag_problem(K=4, b=0.5, alpha=0.05))
         assert result.admitted == [0, 1, 2, 3]
         assert result.removal_trace == []
         assert result.powers_w == pytest.approx(np.full(4, 0.5))

@@ -1,5 +1,9 @@
-"""The worked example runs end to end on the public API and prints its findings."""
+"""The demos run end to end on the public API and print their findings.
 
+demos/approximation_comparison.py is left out: it takes about 30 s.
+"""
+
+import re
 import runpy
 from pathlib import Path
 
@@ -11,3 +15,13 @@ def test_worked_example(capsys):
     out = capsys.readouterr().out
     for line in ("best support (0, 1)", "nlpd: admitted [0, 1]", "lqmd: admitted [0, 1]", "(success)"):
         assert line in out, line
+
+
+def test_deflation_comparison(capsys):
+    runpy.run_path(str(DEMOS / "deflation_comparison.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    counts = re.search(r"lqmd wins (\d+), nlpd wins (\d+), equal (\d+)", out)
+    assert counts, out
+    # Every one of the demo's 50 runs is a win for one pipeline or a tie.
+    assert sum(map(int, counts.groups())) == 50
+    assert "mean admitted links:" in out

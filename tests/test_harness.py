@@ -283,9 +283,12 @@ class TestCli:
         # An epsilon outside (0, 1), which SolverConfig would reject per run.
         _cli_case(_config("deflate-compare", epsilon=2), "epsilon", "epsilon-2"),
         _cli_case(_config("deflate-compare", epsilon=float("nan")), "epsilon", "epsilon-nan"),
-        # Command-line overrides of a valid config get the same checks.
+        # The removed --runs and --seed flags are usage errors: runs and seed
+        # come from the config alone.
         _cli_case(_config("deflate-compare"), "runs", "argv-runs--1", ["--runs", "-1"]),
         _cli_case(_config("deflate-compare"), "seed", "argv-seed--1", ["--seed", "-1"]),
+        # The removed output_path field: --out says where the CSVs go.
+        _cli_case(_config("deflate-compare", output_path="."), "output_path", "output_path"),
     ])
     def test_experiment_config_error_exit_code(self, tmp_path, capsys, doc, name, args):
         # Unchecked, an empty q_list would crash on q_list[0], a wrongly typed
@@ -298,6 +301,15 @@ class TestCli:
         assert main(["experiment", "--config", str(cfg_path), "--out", str(out), *args]) == 1
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    def test_usage_error_exit_code(self, capsys):
+        # argparse would exit 2, the code of an experiment with failed rows.
+        solve = ["solve", "--instance", "x.json", "--algo", "nlpd"]
+        for extra, name in ((["--bogus"], "--bogus"), (["--q", "abc"], "--q")):
+            assert main(solve + extra) == 1
+            assert name in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "experiment" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

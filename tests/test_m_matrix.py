@@ -21,16 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from jpac import admission
 from jpac.admission import admissible, postprocess, preprocess, run_lqmd
-from jpac.network import NormalizedProblem, m_matrix_solve, normalize, select_alpha
-from jpac.scenario import ScenarioConfig, generate
+from jpac.network import NormalizedProblem, m_matrix_solve, select_alpha
 
+from conftest import random_problem
 import reference
 
 DENSITIES = st.sampled_from([1.0, 0.707])
-
-
-def _scenario(K: int, seed: int, distance_scale: float = 1.0) -> NormalizedProblem:
-    return normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=distance_scale)))
 
 
 def _high_interference(problem) -> bool:
@@ -48,7 +44,7 @@ class TestAdmissibleEquivalence:
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 10), scale=DENSITIES)
     def test_every_subset_matches_identity_columns(self, seed, K, scale):
-        prob = _scenario(K, seed, scale)
+        prob = random_problem(K, seed, scale)
         for size in range(1, K + 1):
             for S in combinations(range(K), size):
                 got, ref = admissible(prob, S), reference.admissible(prob, S)
@@ -58,7 +54,7 @@ class TestAdmissibleEquivalence:
 
     def test_both_verdicts_occur(self):
         # The sweep above means little unless x > 1 and x < 0 both occur.
-        prob = _scenario(10, 1, 0.707)
+        prob = random_problem(10, 1, 0.707)
         subsets = [S for size in range(1, 11) for S in combinations(range(10), size)]
         solves = [np.linalg.solve(prob.A[np.ix_(S, S)], prob.b[list(S)]) for S in subsets]
         assert any(x.min() >= 0.0 and x.max() > 1.0 for x in solves)
@@ -78,7 +74,7 @@ class TestSelectAlphaEquivalence:
     def test_matches_spectral_radius(self, K):
         verdicts = []
         for seed in range(20):
-            prob = _scenario(K, seed)
+            prob = random_problem(K, seed)
             expected = reference.spectral_radius(np.eye(K) - prob.A) >= 1.0
             assert _high_interference(prob) == expected, seed
             assert select_alpha(prob) == 0.2 * prob.alpha1, seed
@@ -97,7 +93,7 @@ class TestSelectAlphaEquivalence:
 
         monkeypatch.setattr(admission, "select_alpha", recording)
         for seed in range(4):
-            prob = _scenario(24, seed, 0.707)
+            prob = random_problem(24, seed, 0.707)
             recording(prob)   # run_lqmd selects alpha on its rounds' sub-problems only
             run_lqmd(prob, q=0.5, n_starts=2, seed=seed)
         rounds = [p for p in seen if p.K < 24]
@@ -110,7 +106,7 @@ class TestSelectAlphaEquivalence:
     def test_near_tied_eigenvalues_k100(self):
         # Close receivers make the two largest eigenvalues of I - A nearly
         # tie; a power iteration returned 49419.8 on this instance.
-        prob = _scenario(100, 3)
+        prob = random_problem(100, 3)
         M = np.eye(100) - prob.A
         rho = reference.spectral_radius(M)
         # Gelfand's formula: ||M^(2^j)||^(1/2^j) -> rho, by repeated squaring.
@@ -135,7 +131,7 @@ class TestPostprocessEquivalence:
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 16), scale=DENSITIES,
            data=st.data())
     def test_matches_sequential_fixpoint(self, seed, K, scale, data):
-        prob = _scenario(K, seed, scale)
+        prob = random_problem(K, seed, scale)
         order = data.draw(st.permutations(range(K)))
         n_admitted = data.draw(st.integers(0, K - 1))
         # Deflation hands over an admissible set: shrink the prefix until it is.
@@ -186,12 +182,12 @@ class TestPreprocessEquivalence:
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 64), scale=DENSITIES)
     def test_matches_slice_loop(self, seed, K, scale):
-        prob = _scenario(K, seed, scale)
+        prob = random_problem(K, seed, scale)
         assert preprocess(prob) == reference.preprocess(prob)
 
     def test_dense_instance_removes_many(self):
         # The equivalence needs long removal chains to mean anything.
-        prob = _scenario(64, 1, 0.707)
+        prob = random_problem(64, 1, 0.707)
         _, removed = preprocess(prob)
         assert removed == reference.preprocess(prob)[1]
         assert len(removed) >= 32

@@ -9,16 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from jpac import kernel, oracle
 from jpac.admission import admissible
-from jpac.network import NormalizedProblem, normalize
+from jpac.network import NormalizedProblem
 from jpac.oracle import ENUMERATION_GUARD, EnumerationResult, enumerate_l0, estimate_qbar
-from jpac.scenario import ScenarioConfig, generate
 
-from conftest import ALPHA3, X3_STAR, random_problem
+from conftest import ALPHA3, X3_STAR, diag_problem, random_problem
 from reference import LP_GUARD, lp_exact
-
-
-def _diag_problem(K, b, alpha):
-    return NormalizedProblem(A=np.eye(K), b=np.full(K, b), budgets=np.ones(K), alpha=alpha)
 
 
 def _ref_enumerate_l0(problem, zero_tol=1e-9):
@@ -60,7 +55,7 @@ class TestEnumerate:
         assert res.is_unique_support
 
     def test_orthogonal_admits_all(self):
-        res = enumerate_l0(_diag_problem(4, 0.5, 0.05))
+        res = enumerate_l0(diag_problem(4, 0.5, 0.05))
         assert res.best_support == (0, 1, 2, 3)
         assert res.best_x == pytest.approx(np.full(4, 0.5))
 
@@ -88,7 +83,7 @@ class TestEnumerate:
             assert bench.objective <= obj + 1e-6
 
     def test_guard(self):
-        prob = _diag_problem(ENUMERATION_GUARD + 1, 0.5, 1e-3)
+        prob = diag_problem(ENUMERATION_GUARD + 1, 0.5, 1e-3)
         with pytest.raises(ValueError):
             enumerate_l0(prob)
 
@@ -102,7 +97,7 @@ class TestEnumerateReference:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8), scale=st.sampled_from([1.0, 0.707]))
     def test_random_scenarios(self, seed, K, scale):
-        prob = normalize(generate(ScenarioConfig(K=K, seed=seed, distance_scale=scale)))
+        prob = random_problem(K, seed, distance_scale=scale)
         _assert_matches_reference(prob)
 
     @settings(derandomize=True, deadline=None, max_examples=30)
@@ -138,7 +133,7 @@ class TestLpExact:
         assert np.max(np.abs(lp_exact(three_link))) <= 1e-12
 
     def test_orthogonal_drives_residuals_to_zero(self):
-        x = lp_exact(_diag_problem(3, 0.5, 0.05))
+        x = lp_exact(diag_problem(3, 0.5, 0.05))
         assert x == pytest.approx(np.full(3, 0.5))
 
     def test_matches_l1_kernel_objective(self):
@@ -156,7 +151,7 @@ class TestLpExact:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            lp_exact(_diag_problem(LP_GUARD + 1, 0.5, 0.01))
+            lp_exact(diag_problem(LP_GUARD + 1, 0.5, 0.01))
 
 
 class TestEstimateQbar:
@@ -167,7 +162,7 @@ class TestEstimateQbar:
         assert qbar >= 0.5
 
     def test_orthogonal_succeeds_at_max_q(self, monkeypatch):
-        prob = NormalizedProblem(A=np.eye(3), b=np.full(3, 0.5), budgets=np.ones(3))
+        prob = diag_problem(3)
         config = kernel.SolverConfig(epsilon=1e-6)
         monkeypatch.setattr(oracle, "QBAR_GRID", (0.5, 0.9))
         qbar, status = estimate_qbar(prob, n_starts=1, config=config)

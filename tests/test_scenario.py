@@ -82,3 +82,16 @@ def test_invalid_config():
 def test_rejects_non_finite_or_non_number_field(value):
     with pytest.raises(ValueError, match="square_side"):
         ScenarioConfig(K=4, square_side=value)
+
+
+@pytest.mark.parametrize("changes,name", [
+    ({"K": 2.5}, "K"),
+    ({"K": True}, "K"),
+    ({"K": "3"}, "K"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+], ids=["K-float", "K-bool", "K-str", "seed-float", "seed--1"])
+def test_rejects_non_integer_or_negative_int_field(changes, name):
+    # Unchecked, each failed later with a TypeError or with numpy's own message.
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(**{"K": 3, **changes})

@@ -22,7 +22,7 @@ over that instance's answers alone, before its pool's line.
 --experiment runs each `jpac experiment` config file in place of the pools
 and prints `<config> rows <sha256>` and `<config> summary <sha256>`: the
 hashes of its rows CSV, with `runtime_ms` blanked, and of its summary CSV.
-The config's output_path is ignored; nothing is written.
+Nothing is written.
 """
 
 from __future__ import annotations
