@@ -7,12 +7,14 @@ admissible, and finally try to re-admit removed links.  NLPD runs the
 convex q = 1 power control from the single default start; LQMD runs the
 non-convex lq power control from multiple random starts.
 
-Every exact admissibility decision is one single-column solve.  A has unit
-diagonal and non-positive off-diagonals and b > 0, so a solution x >= 0 of
-A_SS x = b_S already proves that A_SS is a nonsingular M-matrix with an
-entrywise nonnegative inverse (network.m_matrix_solve).  It follows that
-admissibility is closed under subsets: dropping a link only removes
-interference.
+Every exact admissibility decision of admissible is one single-column
+solve.  A has unit diagonal and non-positive off-diagonals and b > 0, so a
+solution x >= 0 of A_SS x = b_S already proves that A_SS is a nonsingular
+M-matrix with an entrywise nonnegative inverse (network.m_matrix_solve).
+It follows that admissibility is closed under subsets: dropping a link only
+removes interference.  postprocess decides all candidates of a scan from
+one solve with the current set's matrix, through the Schur complement of
+each bordered matrix (_bordered_scan).
 
 Index convention: every set handed to these functions, and every link that
 run_nlpd / run_lqmd report, is a row position of the problem argument.
@@ -79,9 +81,12 @@ def admissible(problem: NormalizedProblem, S) -> np.ndarray | None:
     return x_s if ok else None
 
 
-def _necessary(mu: np.ndarray, b: np.ndarray) -> bool:
-    # mu = A^T e, the column sums of A.
-    return float(np.sum(np.maximum(mu, 0.0)) - (np.maximum(-mu, 0.0) + 1.0) @ b) >= 0.0
+def _necessary(mu: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(max(mu, 0)) >= sum((max(-mu, 0) + 1) o b), with mu = A^T e the column sums of A.
+
+    mu and b are one link set's (K,) vectors, or (n, K) stacks of one set per row.
+    """
+    return np.sum(np.maximum(mu, 0.0), axis=-1) - np.sum((np.maximum(-mu, 0.0) + 1.0) * b, axis=-1) >= 0.0
 
 
 def preprocess(problem: NormalizedProblem) -> tuple[list[int], list[int]]:
@@ -89,25 +94,41 @@ def preprocess(problem: NormalizedProblem) -> tuple[list[int], list[int]]:
 
     Returns the kept positions (ascending) and the removed positions of the
     input problem in removal order.  The last remaining link is never
-    removed, and ties go to the smallest index.  The row and column sums of
-    |A| (diagonal zeroed) and A^T e are carried as running sums: a removal
-    subtracts the removed link's column and row.
+    removed, and ties go to the smallest index.
+
+    Where the loop stops does not change which link goes next, so all K - 1
+    removals are made first, scoring each link by row sum + column sum of
+    |A| (diagonal zeroed) + b.  The sums are running sums: a removal
+    subtracts the removed link's column and row.  The stopping point is then
+    the shortest prefix of that order whose kept set meets the necessary
+    condition, found by one stacked test over all prefixes: row t holds
+    mu = A^T e minus the first t removed rows of A, subtracted in removal
+    order, with the removed links masked to 0.
     """
-    A, b = problem.A, problem.b
+    A, b, k = problem.A, problem.b, problem.K
     absA = np.abs(A)
     np.fill_diagonal(absA, 0.0)
-    row, col, mu = absA.sum(axis=1), absA.sum(axis=0), A.T @ np.ones(problem.K)
-    kept = np.ones(problem.K, dtype=bool)
-    removed: list[int] = []
-    while len(removed) <= problem.K - 2 and not _necessary(mu[kept], b[kept]):
-        # argmax takes the first maximum, so ties go to the smallest kept index.
-        r = int(np.argmax(np.where(kept, row + col + b, -np.inf)))
-        kept[r] = False
-        removed.append(r)
-        row -= absA[:, r]
-        col -= absA[r]
-        mu -= A[r]
-    return np.flatnonzero(kept).tolist(), removed
+    sums = np.stack([absA.sum(axis=1), absA.sum(axis=0)])
+    lines = np.stack([absA.T, absA], axis=1)      # lines[r]: link r's column and row of |A|
+    row, col = sums
+    score = np.empty(k)
+    order: list[int] = []
+    for _ in range(k - 1):
+        np.add(row, col, out=score)
+        score += b
+        # A removed link's row sum is -inf, so it never scores highest again;
+        # argmax takes the first maximum, so ties go to the smallest index.
+        r = int(score.argmax())
+        order.append(r)
+        row[r] = -np.inf
+        sums -= lines[r]
+    mu = np.cumsum(np.vstack([A.T @ np.ones(k), -A[order]]), axis=0)
+    removed_at = np.full(k, k)          # the prefix length that first leaves a link out
+    removed_at[order] = np.arange(1, k)
+    kept = removed_at > np.arange(k)[:, None]
+    met = _necessary(np.where(kept, mu, 0.0), np.where(kept, b, 0.0))
+    t = int(np.argmax(met)) if met.any() else k - 1
+    return np.flatnonzero(kept[t]).tolist(), order[:t]
 
 
 def removal_candidate(problem: NormalizedProblem, x) -> int:
@@ -120,35 +141,67 @@ def removal_candidate(problem: NormalizedProblem, x) -> int:
     return int(np.argmax(scores))
 
 
+def _bordered_scan(problem: NormalizedProblem, current: list[int], pending: list[int]) -> np.ndarray:
+    """Admissibility of current + [p] for each p in pending, from one solve with A_CC.
+
+    current is an admissible set C, so A_CC is a nonsingular M-matrix.  One
+    solve gives A_CC [x_C | Y] = [b_C | A_CP].  Bordering A_CC with link p
+    gives a nonsingular M-matrix iff its Schur complement
+    s_p = 1 - a_pC Y_p is positive (Berman & Plemmons, ch. 6); then
+    x_p = (b_p - a_pC x_C) / s_p and x_C' = x_C - Y_p x_p solve the bordered
+    system, and p passes iff both lie in the [0, 1] box up to ADMISSIBLE_ATOL.
+    A link with s_p <= 0 fails without being divided by s_p.  With C empty,
+    p alone passes iff b_p <= 1.
+    """
+    A, b, P = problem.A, problem.b, np.asarray(pending)
+    lo, hi = -ADMISSIBLE_ATOL, 1.0 + ADMISSIBLE_ATOL
+    if not current:
+        return b[P] <= hi
+    C = np.asarray(current)
+    try:
+        sol = np.linalg.solve(A[np.ix_(C, C)], np.column_stack([b[C], A[np.ix_(C, P)]]))
+    except np.linalg.LinAlgError:
+        return np.zeros(P.size, dtype=bool)     # A_CC singular: no superset of C is admissible
+    x_c, Y = sol[:, 0], sol[:, 1:].T            # Y[i] = A_CC^{-1} a_{C, pending[i]}
+    A_PC = A[np.ix_(P, C)]
+    s = 1.0 - np.sum(A_PC * Y, axis=1)
+    positive = s > 0.0
+    x_p = (b[P] - A_PC @ x_c) / np.where(positive, s, 1.0)
+    x_C = x_c - Y * x_p[:, None]                # row i: x_C' of current + [pending[i]]
+    return positive & (x_p >= lo) & (x_p <= hi) & (x_C.min(axis=1) >= lo) & (x_C.max(axis=1) <= hi)
+
+
 def postprocess(problem: NormalizedProblem, admitted, removed) -> tuple[list[int], np.ndarray | None]:
-    """Re-admit removed links, trying them in reverse removal order.
+    """Re-admit removed links into the admissible set admitted, in reverse removal order.
 
-    Each scan tests every remaining candidate against the current set in one
-    stacked solve, admits the first that passes, and continues after it.
-    Admissibility is closed under subsets, so a link that fails against a
-    set also fails against every superset: a second pass over the rejected
-    links could admit nothing, and one reverse pass is the fixpoint.
+    Each scan tests every remaining candidate against the current set with
+    one bordered solve (_bordered_scan), admits the first that passes, and
+    continues after it.  Admissibility is closed under subsets, so a link
+    that fails against a set also fails against every superset: a second
+    pass over the rejected links could admit nothing, and one reverse pass
+    is the fixpoint.
 
-    Returns the sorted final set and the minimum-power x of its last
-    admitting scan, over that sorted set as admissible returns it; x is None
-    when nothing was readmitted.
+    Returns the sorted final set and its minimum-power x from one admissible
+    solve of that set; x is None when nothing was readmitted.  A final set
+    that the bordered scans passed but the direct solve rejects raises
+    RuntimeError.
     """
     current = sorted(admitted)
+    n_admitted = len(current)
     pending = list(reversed(removed))
-    x_current = None
     while pending:
-        # Row i holds the sorted positions of current + [pending[i]].
-        idx = np.sort(np.column_stack([np.tile(np.asarray(current, dtype=int), (len(pending), 1)),
-                                       pending]), axis=1)
-        x, ok = _admissible_rows(problem, idx)
-        passed = np.flatnonzero(ok)
+        passed = np.flatnonzero(_bordered_scan(problem, current, pending))
         if passed.size == 0:
             break
         first = int(passed[0])
         current = sorted(current + [pending[first]])
-        x_current = x[first]
         pending = pending[first + 1:]
-    return current, x_current
+    if len(current) == n_admitted:
+        return current, None
+    x = admissible(problem, current)
+    if x is None:
+        raise RuntimeError(f"readmitted set {current} fails the direct admissibility solve")
+    return current, x
 
 
 def _deflate(
@@ -195,8 +248,8 @@ def _deflate(
     final, x_final = postprocess(base, keep, removed)
     readmitted = sorted(set(final) - set(keep))
 
-    # The powers come from the solve that accepted the final set: the last
-    # readmitting scan, else the loop's exit check.
+    # The powers come from a direct solve of the final set: postprocess's when
+    # it readmitted a link, else the loop's exit check.
     if x_final is None:
         x_final = x_keep if keep else np.zeros(0)   # empty: no link is admissible, even alone
     powers_w = x_final * base.budgets[final]

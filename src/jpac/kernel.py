@@ -159,14 +159,19 @@ def interior_point_default(problem: AugmentedProblem) -> np.ndarray:
 
 
 def interior_point_random(problem: AugmentedProblem, xi: np.ndarray) -> np.ndarray:
-    """Random strictly interior start w(xi) = (xi o m; b - A(xi o m); e - xi o m)."""
+    """Strictly interior start w(xi) = (xi o m; b - A(xi o m); e - xi o m), m = min(b, e).
+
+    xi of shape (K,) gives one start of shape (3K,); xi of shape (n, K) gives
+    one start per row, shape (n, 3K).
+    """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (problem.K,):
-        raise ValueError(f"xi must have shape ({problem.K},)")
+    if xi.shape[-1:] != (problem.K,) or xi.ndim > 2:
+        raise ValueError(f"xi must have shape ({problem.K},) or (n, {problem.K})")
     if np.any(xi < INIT_MARGIN) or np.any(xi > 1.0 - INIT_MARGIN):
         raise ValueError("xi must lie in [INIT_MARGIN, 1 - INIT_MARGIN]")
     w1 = xi * np.minimum(problem.b, 1.0)
-    return np.concatenate([w1, problem.b - problem.A @ w1, 1.0 - w1])
+    # One matrix-vector product per row: a matrix-matrix product rounds differently.
+    return np.concatenate([w1, problem.b - (problem.A @ w1[..., None])[..., 0], 1.0 - w1], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +426,10 @@ def multistart_solve(
         raise ValueError("seed must be nonnegative")
     k = problem.K
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    starts = [interior_point_default(problem)]
-    for _ in range(n_starts - 1):
-        xi = rng.uniform(INIT_MARGIN, 1.0 - INIT_MARGIN, size=k)
-        starts.append(interior_point_random(problem, xi))
-    results = _solve_batch(problem, config, np.asarray(starts))
+    # Row 0 is the default start.  One draw fills the random rows with the
+    # numbers that n_starts - 1 draws of size k would give, in the same order.
+    xi = np.vstack([np.full(k, 0.5), rng.uniform(INIT_MARGIN, 1.0 - INIT_MARGIN, size=(n_starts - 1, k))])
+    results = _solve_batch(problem, config, interior_point_random(problem, xi))
 
     best = None
     best_key = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,7 +183,24 @@ class NormalizedProblem:
         return 1.0 / float(np.sum(self.budgets))
 
     def with_alpha(self, alpha: float) -> "NormalizedProblem":
-        return replace(self, alpha=float(alpha))
+        """This problem with weight alpha, which must lie in (0, alpha1).
+
+        Only alpha is checked: A, b and pbar are this problem's own arrays,
+        already validated when it was built.
+        """
+        alpha = float(alpha)
+        alpha1 = self.alpha1
+        if not (0.0 < alpha < alpha1):
+            raise ValueError(f"alpha must lie in (0, {alpha1}), got {alpha}")
+        return _derived(self.A, self.b, self.budgets, alpha)
+
+
+def _derived(A: np.ndarray, b: np.ndarray, budgets: np.ndarray, alpha: float) -> NormalizedProblem:
+    """A NormalizedProblem built without __post_init__, from parts that already meet its invariants."""
+    problem = object.__new__(NormalizedProblem)
+    for name, value in (("A", A), ("b", b), ("budgets", budgets), ("alpha", alpha)):
+        object.__setattr__(problem, name, value)
+    return problem
 
 
 def sinr(instance: NetworkInstance, p) -> np.ndarray:
@@ -260,11 +277,14 @@ def index_set(S, k: int) -> np.ndarray:
 
 
 def restrict(normalized: NormalizedProblem, S) -> NormalizedProblem:
-    """Sub-problem (A_SS, b_S, pbar_S) on the row indices S; alpha carries over."""
+    """Sub-problem (A_SS, b_S, pbar_S) on the row indices S; alpha carries over.
+
+    Only S is checked.  A principal sub-problem of a valid problem is valid:
+    A_SS keeps the unit diagonal and the non-positive off-diagonals, b_S and
+    pbar_S stay positive and everything stays finite, and alpha < 1 / sum(pbar)
+    <= 1 / sum(pbar_S) because pbar > 0.  So the O(K^2) checks of
+    NormalizedProblem.__post_init__ are not run again.
+    """
     idx = index_set(S, normalized.K)
-    return NormalizedProblem(
-        A=normalized.A[np.ix_(idx, idx)],
-        b=normalized.b[idx],
-        budgets=normalized.budgets[idx],
-        alpha=normalized.alpha,
-    )
+    return _derived(normalized.A[np.ix_(idx, idx)], normalized.b[idx], normalized.budgets[idx],
+                    normalized.alpha)

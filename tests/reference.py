@@ -78,7 +78,7 @@ def foschini_miljanic(problem: NormalizedProblem, S) -> np.ndarray:
 
 def necessary_condition(problem: NormalizedProblem) -> bool:
     """Easy-to-check necessary condition for all links to be supportable."""
-    return _necessary(problem.A.T @ np.ones(problem.K), problem.b)
+    return bool(_necessary(problem.A.T @ np.ones(problem.K), problem.b))
 
 
 def a_tilde(aug: AugmentedProblem) -> np.ndarray:

@@ -155,6 +155,31 @@ class TestInteriorPoints:
         with pytest.raises(ValueError):
             kernel.interior_point_random(aug3, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("K", [1, 10, 33, 64])
+    def test_stacked_rows_match_single_calls(self, K):
+        # Bit for bit: a stacked matrix-matrix product would round differently.
+        aug = kernel.augment(random_problem(K, K, 0.707), q=0.5)
+        xi = np.random.default_rng(K).uniform(1e-3, 1.0 - 1e-3, size=(7, K))
+        stacked = kernel.interior_point_random(aug, xi)
+        assert stacked.shape == (7, 3 * K)
+        assert np.array_equal(stacked, np.stack([kernel.interior_point_random(aug, row) for row in xi]))
+        with pytest.raises(ValueError, match="shape"):
+            kernel.interior_point_random(aug, xi[None])
+
+    @pytest.mark.parametrize("n_starts", [1, 2, 5])
+    def test_multistart_starts_match_sequential_draws(self, n_starts, monkeypatch):
+        # One (n - 1, K) draw gives the numbers of n - 1 successive size-K draws.
+        aug = kernel.augment(random_problem(12, 4), q=0.5)
+        seen = []
+        solve_batch = kernel._solve_batch
+        monkeypatch.setattr(kernel, "_solve_batch", lambda p, c, W: seen.append(W) or solve_batch(p, c, W))
+        kernel.multistart_solve(aug, kernel.SolverConfig(epsilon=1e-3), n_starts, seed=9)
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        expected = [kernel.interior_point_default(aug)] + [
+            kernel.interior_point_random(aug, rng.uniform(kernel.INIT_MARGIN, 1.0 - kernel.INIT_MARGIN, 12))
+            for _ in range(n_starts - 1)]
+        assert np.array_equal(seen[0], np.asarray(expected))
+
 
 class TestReductionStep:
     def test_step_no_worse_than_beta_step(self, aug3, monkeypatch):

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jpac import admission
-from jpac.admission import admissible, postprocess, preprocess, run_lqmd
-from jpac.network import NormalizedProblem, m_matrix_solve, select_alpha
+from jpac.admission import admissible, postprocess, preprocess, removal_candidate, run_lqmd
+from jpac.network import NormalizedProblem, m_matrix_solve, normalize, restrict, select_alpha
+from jpac.scenario import ScenarioConfig, generate
 
 from conftest import random_problem
 import reference
@@ -177,6 +178,31 @@ class TestPostprocessEquivalence:
         assert postprocess(prob, [0], [2, 1])[0] == [0, 2]
         assert postprocess(prob, [0], [1, 2])[0] == [0, 2]
 
+    def test_deflation_scale(self):
+        # The benchmark's K = 64 densities.  The admitted set is what preprocess
+        # keeps less deflation-style removals (removal_candidate at x = 0) until
+        # it is admissible: about 15-35 links, with 30-50 candidates pending.
+        readmitted = 0
+        for side in (1600.0, 3578.0):
+            for seed in range(6):
+                prob = normalize(generate(ScenarioConfig(K=64, square_side=side, seed=seed)))
+                admitted, removed = preprocess(prob)
+                while True:
+                    removed.append(admitted.pop(removal_candidate(restrict(prob, admitted),
+                                                                  np.zeros(len(admitted)))))
+                    if reference.admissible(prob, admitted) is not None:
+                        break
+                assert 10 <= len(admitted) <= 40 and 24 <= len(removed) <= 54
+                got, x = postprocess(prob, admitted, removed)
+                assert got == reference.postprocess(prob, admitted, removed)
+                if got == sorted(admitted):
+                    assert x is None
+                else:
+                    readmitted += 1
+                    assert np.array_equal(x, admissible(prob, got))
+                    assert x == pytest.approx(reference.admissible(prob, got), rel=1e-12, abs=0.0)
+        assert readmitted >= 3
+
 
 class TestPreprocessEquivalence:
     @settings(derandomize=True, deadline=None, max_examples=30)
@@ -184,6 +210,18 @@ class TestPreprocessEquivalence:
     def test_matches_slice_loop(self, seed, K, scale):
         prob = random_problem(K, seed, scale)
         assert preprocess(prob) == reference.preprocess(prob)
+
+    def test_small_and_already_met(self):
+        # K = 1 never removes, K = 2 removes at most one link, and a problem
+        # that meets the condition as given keeps every link.
+        met = NormalizedProblem(A=np.eye(3) - 0.1 * (1 - np.eye(3)), b=np.full(3, 0.2), budgets=np.ones(3))
+        assert reference.necessary_condition(met)
+        cases = [random_problem(1, seed) for seed in range(3)]
+        cases += [random_problem(2, seed, 0.1) for seed in range(20)]
+        for prob in cases + [met]:
+            assert preprocess(prob) == reference.preprocess(prob)
+        assert preprocess(met) == ([0, 1, 2], [])
+        assert any(preprocess(prob)[1] for prob in cases)
 
     def test_dense_instance_removes_many(self):
         # The equivalence needs long removal chains to mean anything.

@@ -5,6 +5,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jpac.network import (
     NetworkInstance,
@@ -123,6 +124,13 @@ class TestSelectAlpha:
             assert 0.0 < a < prob.alpha1
 
 
+def _assert_same_problem(got, want):
+    for name in ("A", "b", "budgets"):
+        assert getattr(got, name).dtype == np.float64
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.alpha == want.alpha and isinstance(got.alpha, float)
+
+
 class TestRestrict:
     def test_full_set_identity(self, three_link):
         sub = restrict(three_link, [0, 1, 2])
@@ -144,6 +152,25 @@ class TestRestrict:
     def test_empty_rejected(self, three_link):
         with pytest.raises(ValueError):
             restrict(three_link, [])
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 20), scale=st.sampled_from([1.0, 0.707]),
+           data=st.data())
+    def test_derived_problems_equal_validated_ones(self, seed, K, scale, data):
+        # restrict and with_alpha skip __post_init__'s checks; what they build
+        # must be what a fully validated construction builds.
+        prob = random_problem(K, seed, scale)
+        S = sorted(data.draw(st.sets(st.integers(0, K - 1), min_size=1)))
+        sub = restrict(prob, S)
+        want = NormalizedProblem(prob.A[np.ix_(S, S)], prob.b[S], prob.budgets[S], prob.alpha)
+        _assert_same_problem(sub, want)
+        alpha = data.draw(st.floats(0.01, 0.99)) * sub.alpha1
+        _assert_same_problem(sub.with_alpha(alpha), NormalizedProblem(sub.A, sub.b, sub.budgets, alpha))
+
+    def test_bad_index_sets_rejected(self, three_link):
+        for S in ([3], [-1], [0, 0], [0.5], [True], []):
+            with pytest.raises(ValueError, match="S must"):
+                restrict(three_link, S)
 
 
 class TestValidation:
@@ -188,10 +215,9 @@ class TestValidation:
                             geometry=[1, 2])
 
     def test_alpha_out_of_range(self, three_link):
-        with pytest.raises(ValueError):
-            three_link.with_alpha(1.0)  # alpha1 = 1/3
-        with pytest.raises(ValueError):
-            three_link.with_alpha(0.0)
+        for alpha in (1.0, 1.0 / 3.0, 0.0, -0.1, np.nan, np.inf):   # alpha1 = 1/3
+            with pytest.raises(ValueError, match="alpha"):
+                three_link.with_alpha(alpha)
 
 
 class TestSerialization:
