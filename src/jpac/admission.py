@@ -7,14 +7,18 @@ admissible, and finally try to re-admit removed links.  NLPD runs the
 convex q = 1 power control from the single default start; LQMD runs the
 non-convex lq power control from multiple random starts.
 
-Every exact admissibility decision of admissible is one single-column
-solve.  A has unit diagonal and non-positive off-diagonals and b > 0, so a
-solution x >= 0 of A_SS x = b_S already proves that A_SS is a nonsingular
-M-matrix with an entrywise nonnegative inverse (network.m_matrix_solve).
-It follows that admissibility is closed under subsets: dropping a link only
-removes interference.  postprocess decides all candidates of a scan from
-one solve with the current set's matrix, through the Schur complement of
-each bordered matrix (_bordered_scan).
+S is admissible iff A_SS x = b_S has a solution in [0, 1]^|S| (other links
+silent).  A_SS is a Z-matrix and b_S > 0, so a solution x >= 0 exists
+exactly when A_SS is a nonsingular M-matrix: x >= 0 with A_SS x > 0 makes
+it semipositive, and then A_SS^{-1} = sum_k (I - A_SS)^k >= 0 (Berman &
+Plemmons, Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6).
+So one single-column solve is the whole test, and a singular A_SS fails
+it.  Admissibility is closed under subsets: dropping a link only removes
+interference.  By the same chapter, bordering A_CC of an admissible C with
+link p gives a nonsingular M-matrix iff s_p = 1 - a_pC A_CC^{-1} a_Cp > 0;
+then x_p = (b_p - a_pC x_C) / s_p and x_C' = x_C - A_CC^{-1} a_Cp x_p solve
+the bordered system, which lets postprocess test all candidates of a scan
+from one solve with A_CC (_bordered_scan).
 
 Index convention: every set handed to these functions, and every link that
 run_nlpd / run_lqmd report, is a row position of the problem argument.
@@ -23,14 +27,17 @@ run_nlpd / run_lqmd report, is a row position of the problem argument.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .network import NormalizedProblem, index_set, m_matrix_solve, restrict, select_alpha
+from .network import NormalizedProblem, index_set, restrict, select_alpha
 
 ADMISSIBLE_ATOL = 1e-10   # bound slack of the [0, 1] test on x_S
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -57,25 +64,40 @@ class AdmissionResult:
         })
 
 
-def _admissible_rows(problem: NormalizedProblem, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped minimum-power x and [0, 1] verdict per sorted index row, idx of shape (m,) or (n, m).
+def _in_box(x: np.ndarray) -> np.ndarray:
+    """Per row of x: every entry lies in [0, 1] up to ADMISSIBLE_ATOL."""
+    return (x.min(axis=-1) >= -ADMISSIBLE_ATOL) & (x.max(axis=-1) <= 1.0 + ADMISSIBLE_ATOL)
 
-    One m_matrix_solve covers every row; NaN, from a singular block, fails.  Read passing rows only.
+
+def _admissible_rows(problem: NormalizedProblem, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped minimum-power x and admissibility verdict per sorted index row of idx, (m,) or (n, m).
+
+    One solve covers every row.  A singular block is rejected with a NaN x
+    row; in a stack it makes each row be solved alone, which is logged at
+    DEBUG.  Read passing rows only.
     """
-    x = m_matrix_solve(problem.A[idx[..., :, None], idx[..., None, :]], problem.b[idx])
-    ok = (x.min(axis=-1) >= -ADMISSIBLE_ATOL) & (x.max(axis=-1) <= 1.0 + ADMISSIBLE_ATOL)
+    A_SS, b_S = problem.A[idx[..., :, None], idx[..., None, :]], problem.b[idx]
+    try:
+        x = np.linalg.solve(A_SS, b_S[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if idx.ndim == 1:
+            return np.full(idx.shape, np.nan), False
+        rows = [_admissible_rows(problem, row) for row in idx]
+        x = np.stack([x_row for x_row, _ in rows])
+        logger.debug("stack of %d sets of %d links holds a singular block; solved each alone, "
+                     "%d singular", *idx.shape, int(np.isnan(x).any(axis=-1).sum()))
+        return x, np.array([ok for _, ok in rows])
+    ok = _in_box(x)
     # A rejected single set, as most of the oracle's are, skips the clip: ~10% of the call.
     return (x if idx.ndim == 1 and not ok else np.minimum(np.maximum(x, 0.0), 1.0)), ok
 
 
 def admissible(problem: NormalizedProblem, S) -> np.ndarray | None:
-    """Minimum-power x_S if S is admissible, else None.
+    """Minimum-power x_S, clipped to [0, 1], if S is admissible, else None.
 
-    S is admissible iff A_SS x = b_S has a solution inside [0, 1]^|S| (other
-    links silent).  A_SS is a Z-matrix and b_S > 0, so x >= 0 already
-    certifies that A_SS is a nonsingular M-matrix with A_SS^{-1} >= 0 (see
-    network.m_matrix_solve); no inverse columns are needed.  S is checked
-    as restrict checks it.
+    S is admissible iff A_SS x = b_S has a solution inside [0, 1]^|S| up to
+    ADMISSIBLE_ATOL (module docstring); a singular A_SS is not.  S is
+    checked as restrict checks it.
     """
     x_s, ok = _admissible_rows(problem, index_set(S, problem.K))
     return x_s if ok else None
@@ -144,19 +166,14 @@ def removal_candidate(problem: NormalizedProblem, x) -> int:
 def _bordered_scan(problem: NormalizedProblem, current: list[int], pending: list[int]) -> np.ndarray:
     """Admissibility of current + [p] for each p in pending, from one solve with A_CC.
 
-    current is an admissible set C, so A_CC is a nonsingular M-matrix.  One
-    solve gives A_CC [x_C | Y] = [b_C | A_CP].  Bordering A_CC with link p
-    gives a nonsingular M-matrix iff its Schur complement
-    s_p = 1 - a_pC Y_p is positive (Berman & Plemmons, ch. 6); then
-    x_p = (b_p - a_pC x_C) / s_p and x_C' = x_C - Y_p x_p solve the bordered
-    system, and p passes iff both lie in the [0, 1] box up to ADMISSIBLE_ATOL.
-    A link with s_p <= 0 fails without being divided by s_p.  With C empty,
-    p alone passes iff b_p <= 1.
+    current must be an admissible set C.  A link whose Schur complement s_p
+    is not positive fails without being divided by s_p (module docstring);
+    the others pass iff their bordered x passes the box test.  With C
+    empty, p alone passes iff b_p does.
     """
     A, b, P = problem.A, problem.b, np.asarray(pending)
-    lo, hi = -ADMISSIBLE_ATOL, 1.0 + ADMISSIBLE_ATOL
     if not current:
-        return b[P] <= hi
+        return _in_box(b[P][:, None])
     C = np.asarray(current)
     try:
         sol = np.linalg.solve(A[np.ix_(C, C)], np.column_stack([b[C], A[np.ix_(C, P)]]))
@@ -167,8 +184,8 @@ def _bordered_scan(problem: NormalizedProblem, current: list[int], pending: list
     s = 1.0 - np.sum(A_PC * Y, axis=1)
     positive = s > 0.0
     x_p = (b[P] - A_PC @ x_c) / np.where(positive, s, 1.0)
-    x_C = x_c - Y * x_p[:, None]                # row i: x_C' of current + [pending[i]]
-    return positive & (x_p >= lo) & (x_p <= hi) & (x_C.min(axis=1) >= lo) & (x_C.max(axis=1) <= hi)
+    # Row i: x_C' and x_p of current + [pending[i]].
+    return positive & _in_box(np.column_stack([x_c - Y * x_p[:, None], x_p]))
 
 
 def postprocess(problem: NormalizedProblem, admitted, removed) -> tuple[list[int], np.ndarray | None]:
@@ -210,9 +227,8 @@ def _deflate(
     q: float,
     n_starts: int,
     seed: int,
-    reselect_alpha: bool,
 ) -> AdmissionResult:
-    """Shared NLPD / LQMD skeleton; LQMD reselects alpha on each round's sub-problem."""
+    """Shared NLPD / LQMD skeleton; LQMD, the q < 1 case, reselects alpha on each round's sub-problem."""
     base = problem
     removal_trace: list[dict] = []
     # ridge_retries sums KktCertificate.ridge_retries over every start;
@@ -231,7 +247,7 @@ def _deflate(
     # x_keep is the minimum-power x of keep once the exit check accepts it.
     while keep and (x_keep := admissible(base, keep)) is None:
         sub = restrict(base, keep)
-        if reselect_alpha:
+        if q < 1.0:
             sub = sub.with_alpha(select_alpha(sub))
         res = kernel.multistart_solve(kernel.augment(sub, q=q), config, n_starts, seed + round_idx)
         stats["solver_calls"] += n_starts
@@ -265,7 +281,7 @@ def _deflate(
 def run_nlpd(problem: NormalizedProblem, config: kernel.SolverConfig | None = None) -> AdmissionResult:
     """Deflation with the convex q = 1 power control from the default start."""
     config = config or kernel.SolverConfig()
-    return _deflate(problem, config, q=1.0, n_starts=1, seed=0, reselect_alpha=False)
+    return _deflate(problem, config, q=1.0, n_starts=1, seed=0)
 
 
 def run_lqmd(
@@ -282,9 +298,7 @@ def run_lqmd(
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    # Checked up front: a run that needs no deflation round never reaches multistart_solve.
+    kernel.check_starts(n_starts, seed)
     config = config or kernel.SolverConfig()
-    return _deflate(problem, config, q=q, n_starts=n_starts, seed=seed, reselect_alpha=True)
+    return _deflate(problem, config, q=q, n_starts=n_starts, seed=seed)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import kernel
 from .admission import admissible, run_lqmd, run_nlpd
-from .network import normalize
+from .network import is_int, is_real, normalize
 from .oracle import ENUMERATION_GUARD, enumerate_l0, estimate_qbar
-from .scenario import ScenarioConfig, generate, is_int, is_real
+from .scenario import ScenarioConfig, generate
 
 SUMMARY_FIELDS = ["experiment", "K", "q", "algorithm", "metric", "value"]
 

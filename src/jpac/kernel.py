@@ -45,12 +45,13 @@ import contextlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .network import NormalizedProblem
+from .network import NormalizedProblem, is_int
 
 EPS_OPTIMAL = "eps-optimal"
 EPS_KKT = "eps-kkt"
@@ -129,13 +130,16 @@ class KktCertificate:
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-4
-    trace_path: str | None = None
+    trace_path: str | os.PathLike | None = None
     zero_tol: ClassVar[float] = SUPPORT_TOL   # readable as config.zero_tol, not settable
 
     def __post_init__(self):
         # NaN fails every comparison, so the test rejects it too.
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
+        # open() takes an int as a file descriptor, which the solve would then close.
+        if not (self.trace_path is None or isinstance(self.trace_path, (str, os.PathLike))):
+            raise ValueError(f"trace_path must be a path, got {self.trace_path!r}")
 
     def rho(self, K: int, q: float) -> float:
         # rho >= 6K/eps certifies the eps-KKT gap; rho > K/q is needed by
@@ -409,6 +413,14 @@ class MultistartResult:
     total_iterations: int
 
 
+def check_starts(n_starts, seed) -> None:
+    """ValueError, naming the argument, unless n_starts >= 1 and seed >= 0 are integers."""
+    if not (is_int(n_starts) and n_starts >= 1):
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def multistart_solve(
     problem: AugmentedProblem, config: SolverConfig, n_starts: int, seed: int
 ) -> MultistartResult:
@@ -420,10 +432,7 @@ def multistart_solve(
     iteration cap or underflow are skipped (at least one start must
     terminate cleanly).
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    check_starts(n_starts, seed)
     k = problem.K
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # Row 0 is the default start.  One draw fills the random rows with the

@@ -11,7 +11,7 @@ on.
 from __future__ import annotations
 
 import json
-import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,15 @@ import numpy as np
 SCHEMA_VERSION = 1
 ALPHA_FRACTION = 0.2   # select_alpha returns this share of alpha1 = 1 / sum(pbar)
 
-logger = logging.getLogger(__name__)
+
+# The rules for a config number, shared by scenario, kernel and harness: bool
+# is an int subclass, and JSON or a caller may pass one by mistake.
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _as_vector(v, k: int, name: str) -> np.ndarray:
@@ -225,31 +233,6 @@ def normalize(instance: NetworkInstance) -> NormalizedProblem:
     np.fill_diagonal(A, 1.0)
     b = gamma * instance.noise / (gkk * pbar)
     return NormalizedProblem(A=A, b=b, budgets=pbar.copy())
-
-
-def m_matrix_solve(A, b) -> np.ndarray:
-    """x = A^{-1} b for one Z-matrix A (m, m) or a stack (n, m, m); NaN where A is singular.
-
-    For a Z-matrix A (off-diagonals <= 0) and b > 0, a solution x >= 0 of
-    A x = b exists exactly when A is a nonsingular M-matrix, rho(I - A) < 1:
-    x >= 0 with A x > 0 makes A semipositive, and a nonsingular M-matrix has
-    A^{-1} = sum_k (I - A)^k >= 0 (Berman & Plemmons, Nonnegative Matrices in
-    the Mathematical Sciences, 1994, ch. 6).  So one column settles what
-    the entrywise sign of A^{-1} or an eigensolve would.  A singular stack
-    member is solved alone (logged at DEBUG) and comes back as NaN, which
-    fails every bound test written as `x.min() >= lo`.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if A.ndim == 2:
-            return np.full(b.shape, np.nan)
-        x = np.stack([m_matrix_solve(a, v) for a, v in zip(A, b)])
-        logger.debug("stack of %d %dx%d systems holds a singular matrix; solved each alone, "
-                     "%d singular", A.shape[0], A.shape[1], A.shape[2], int(np.isnan(x).any(axis=-1).sum()))
-        return x
 
 
 def select_alpha(normalized: NormalizedProblem) -> float:

@@ -99,10 +99,7 @@ def estimate_qbar(
     """
     # Checked here too: the enumeration below costs 2^K - 1 solves before
     # multistart_solve would reject n_starts or seed.
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    kernel.check_starts(n_starts, seed)
     config = config or kernel.SolverConfig()
 
     work = problem.with_alpha(select_alpha(problem))

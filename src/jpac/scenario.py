@@ -12,12 +12,11 @@ test_normalized_noise_is_half checks and a few downstream checks rely on.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .network import NetworkInstance
+from .network import NetworkInstance, is_int, is_real
 
 
 RX_RADIUS_M = 400.0
@@ -33,16 +32,6 @@ def dbm_to_watts(dbm: float) -> float:
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-# The rules for a config number, shared with harness.ExperimentConfig: bool
-# is an int subclass, and JSON or a caller may pass one by mistake.
-def is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

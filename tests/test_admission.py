@@ -1,6 +1,7 @@
 """Deflation algorithms and exact supportability primitives."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ class TestAdmissible:
     def test_orthogonal(self):
         prob = diag_problem(K=3, b=0.4)
         assert admissible(prob, [2, 0]) == pytest.approx([0.4, 0.4])
+
+
+class TestAdmissibleRows:
+    def test_singular_stack_member_solved_alone_and_logged(self, caplog):
+        # Rows {0, 1} give a singular block, which fails the stacked solve;
+        # each row is then solved alone, the singular one is rejected, and
+        # the fallback is logged.  A stack that solves as given logs nothing.
+        prob = NormalizedProblem(A=[[1.0, -1.0, 0.0], [-1.0, 1.0, -0.5], [0.0, -0.5, 1.0]],
+                                 b=[0.25, 0.25, 0.25], budgets=[1.0, 1.0, 1.0])
+        with caplog.at_level(logging.DEBUG, logger="jpac.admission"):
+            _, ok = admission._admissible_rows(prob, np.array([[0, 2], [1, 2]]))
+            assert ok.tolist() == [True, True] and not caplog.records
+            x, ok = admission._admissible_rows(prob, np.array([[0, 1], [1, 2]]))
+        x_alone, ok_alone = admission._admissible_rows(prob, np.array([1, 2]))
+        assert ok.tolist() == [False, True] and ok_alone
+        assert np.isnan(x[0]).all()
+        assert x[1].tobytes() == x_alone.tobytes()
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert "stack of 2 sets of 2 links" in caplog.text and "1 singular" in caplog.text
+        assert admissible(prob, [0, 1]) is None
 
 
 class TestMinPowerAllocation:
@@ -284,11 +305,13 @@ class TestRunLqmd:
     def test_invalid_parameters(self, three_link):
         with pytest.raises(ValueError):
             run_lqmd(three_link, q=1.0, n_starts=5)
-        with pytest.raises(ValueError):
-            run_lqmd(three_link, q=0.5, n_starts=0)
+        for n_starts in (0, 2.5, True):
+            with pytest.raises(ValueError, match="n_starts"):
+                run_lqmd(three_link, q=0.5, n_starts=n_starts)
         # Checked up front: a run that needs no deflation round never seeds a start.
-        with pytest.raises(ValueError, match="seed"):
-            run_lqmd(three_link, q=0.5, n_starts=5, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValueError, match="seed"):
+                run_lqmd(three_link, q=0.5, n_starts=5, seed=seed)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """The package's namespace: its modules, and no test-only code."""
 
 import jpac
-from jpac import kernel, oracle
+from jpac import kernel, network, oracle
 
 
 def test_modules_load_and_test_references_stay_out():
@@ -17,3 +17,5 @@ def test_modules_load_and_test_references_stay_out():
     assert not hasattr(jpac.admission, "necessary_condition")
     assert not hasattr(kernel.AugmentedProblem, "A_tilde")
     assert not hasattr(kernel.AugmentedProblem, "b_tilde")
+    # The admissibility solve lives in admission._admissible_rows alone.
+    assert not hasattr(network, "m_matrix_solve")

@@ -589,10 +589,13 @@ class TestMultistart:
         assert len(res.certificates) == 5
 
     def test_invalid_n(self, aug3):
-        with pytest.raises(ValueError):
-            kernel.multistart_solve(aug3, kernel.SolverConfig(), 0, 0)
-        with pytest.raises(ValueError, match="seed"):
-            kernel.multistart_solve(aug3, kernel.SolverConfig(), 1, -1)
+        # Unchecked, 2.5 fails in numpy's uniform draw and True runs one start.
+        for n_starts in (0, 2.5, True):
+            with pytest.raises(ValueError, match="n_starts"):
+                kernel.multistart_solve(aug3, kernel.SolverConfig(), n_starts, 0)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValueError, match="seed"):
+                kernel.multistart_solve(aug3, kernel.SolverConfig(), 1, seed)
 
 
 class TestRoundToPower:
@@ -628,6 +631,13 @@ class TestConfig:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             kernel.SolverConfig(epsilon=0.0)
+
+    def test_trace_path_must_be_a_path(self, tmp_path):
+        # Unchecked, open() takes an int as a file descriptor, which the solve then closes.
+        for bad in (2, 2.0, b"trace.jsonl"):
+            with pytest.raises(ValueError, match="trace_path"):
+                kernel.SolverConfig(trace_path=bad)
+        assert kernel.SolverConfig(trace_path=tmp_path / "t.jsonl").trace_path == tmp_path / "t.jsonl"
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1.0])
     def test_epsilon_must_be_finite_below_one(self, epsilon):

@@ -1,7 +1,6 @@
 """Channel model, normalization, alpha selection, and subset restriction."""
 
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from jpac.network import (
     NetworkInstance,
     NormalizedProblem,
-    m_matrix_solve,
     normalize,
     restrict,
     select_alpha,
@@ -84,28 +82,11 @@ class TestNormalize:
 
 class TestSpectralRadius:
     def test_three_link_interference_block(self):
-        # rho(I - A3) = sqrt(2) >= 1, and the single M-matrix solve that
+        # rho(I - A3) = sqrt(2) >= 1, and the single full-set solve that
         # stands in for the eigensolve reaches the same verdict.
         rho = float(np.max(np.abs(np.linalg.eigvals(np.eye(3) - A3))))
         assert rho == pytest.approx(np.sqrt(2.0))
-        assert m_matrix_solve(A3, B3).min() < 0.0
-
-
-class TestMMatrixSolve:
-    def test_singular_stack_member_solved_alone_and_logged(self, caplog):
-        # One singular member fails the stacked solve; every member is then
-        # solved alone, the singular one comes back as NaN, and the fallback
-        # is logged.  A stack that solves as given logs nothing.
-        A = np.stack([[[1.0, -1.0], [-1.0, 1.0]], [[1.0, -0.5], [-0.5, 1.0]]])
-        b = np.full((2, 2), 0.5)
-        with caplog.at_level(logging.DEBUG, logger="jpac.network"):
-            m_matrix_solve(A[1:], b[1:])
-            assert not caplog.records
-            x = m_matrix_solve(A, b)
-        assert np.isnan(x[0]).all()
-        assert x[1] == pytest.approx(np.linalg.solve(A[1], b[1]), rel=1e-15)
-        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-        assert "stack of 2 2x2 systems" in caplog.text and "1 singular" in caplog.text
+        assert np.linalg.solve(A3, B3).min() < 0.0
 
 
 class TestSelectAlpha:

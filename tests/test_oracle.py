@@ -173,16 +173,18 @@ class TestEstimateQbar:
             raise AssertionError("enumerate_l0 ran before n_starts was checked")
 
         monkeypatch.setattr(oracle, "enumerate_l0", never)
-        with pytest.raises(ValueError, match="n_starts"):
-            estimate_qbar(three_link, n_starts=0)
+        for n_starts in (0, 2.5, True):
+            with pytest.raises(ValueError, match="n_starts"):
+                estimate_qbar(three_link, n_starts=n_starts)
 
     def test_seed_checked_before_enumeration(self, three_link, monkeypatch):
         def never(problem):
             raise AssertionError("enumerate_l0 ran before seed was checked")
 
         monkeypatch.setattr(oracle, "enumerate_l0", never)
-        with pytest.raises(ValueError, match="seed"):
-            estimate_qbar(three_link, n_starts=2, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValueError, match="seed"):
+                estimate_qbar(three_link, n_starts=2, seed=seed)
 
     def test_monotone_in_grid(self, three_link, monkeypatch):
         # Dropping grid points below the returned exponent changes nothing.
