@@ -51,7 +51,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .network import NormalizedProblem, is_int
+from .network import NormalizedProblem, is_int, lu_solve
 
 EPS_OPTIMAL = "eps-optimal"
 EPS_KKT = "eps-kkt"
@@ -203,7 +203,7 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
     """
     for attempt in range(4):
         try:
-            return np.linalg.solve(normal, rhs[..., None])[..., 0], attempt
+            return lu_solve(normal, rhs[..., None])[..., 0], attempt
         except np.linalg.LinAlgError:
             if attempt == 3:
                 raise
@@ -341,7 +341,7 @@ def _solve_batch(
         results[start[row]] = (w, _certificate(
             problem, config, w, lam[row], resid[row], f[row], termination, it, retries))
 
-    trace = open(config.trace_path, "a") if config.trace_path else contextlib.nullcontext()
+    trace = open(config.trace_path, "a") if config.trace_path is not None else contextlib.nullcontext()
     with trace as trace_file:
         for it in range(cap + 1):
             lam, resid, g, norm_g, step_retries = _projected_direction(W, f, problem, rho)

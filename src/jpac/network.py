@@ -5,7 +5,7 @@ receiver pair per link).  Feasibility of a power vector is expressed either
 in physical units (SINR_k >= gamma_k) or, after normalization, as
 [A x - b]_k >= 0 with x_k = p_k / pbar_k.  The normalized matrix A has unit
 diagonal and non-positive off-diagonals, which the downstream solvers rely
-on.
+on.  lu_solve is the one LU solve that every jpac linear system goes through.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg   # the LAPACK gesv gufunc behind numpy.linalg.solve
 
 SCHEMA_VERSION = 1
 ALPHA_FRACTION = 0.2   # select_alpha returns this share of alpha1 = 1 / sum(pbar)
@@ -28,6 +29,22 @@ def is_int(value) -> bool:
 
 def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy.linalg.solve(a, b), bit for bit, for float64 a of shape (..., m, m) and b of shape (..., m, n).
+
+    It calls the gufunc that numpy.linalg.solve calls, under the same error
+    state, so a singular block raises LinAlgError and no warning.  What it
+    skips is the wrapper's conversions and type checks, which cost more than
+    LAPACK on the small systems jpac solves.
+    """
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def _as_vector(v, k: int, name: str) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jpac import kernel
 from jpac.network import NetworkInstance, NormalizedProblem, normalize
 from jpac.scenario import ScenarioConfig, generate
 
@@ -52,13 +53,13 @@ def diag_problem(K: int = 2, b: float = 0.5, alpha: float | None = None) -> Norm
 
 
 def fail_first_schur_solve(monkeypatch) -> None:
-    """Make the first stacked np.linalg.solve raise LinAlgError, as at a zero LU pivot.
+    """Make the kernel's first stacked lu_solve raise LinAlgError, as at a zero LU pivot.
 
-    The kernel solves its Schur systems as an (N, K, K) stack, while the
-    admissibility test solves one K x K system, so only the kernel's first
-    solve fails.
+    The kernel solves its Schur systems as an (N, K, K) stack through its
+    own binding of network.lu_solve, which is the one replaced, so only the
+    kernel's first solve fails and admission's solves run as given.
     """
-    solve = np.linalg.solve
+    solve = kernel.lu_solve
     failed = []
 
     def failing_once(a, b):
@@ -67,7 +68,7 @@ def fail_first_schur_solve(monkeypatch) -> None:
             raise np.linalg.LinAlgError("forced")
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", failing_once)
+    monkeypatch.setattr(kernel, "lu_solve", failing_once)
 
 
 # Verdict lines recorded by the acceptance tests; echoed after the run so

@@ -92,6 +92,23 @@ class TestAdmissibleRows:
         assert "stack of 2 sets of 2 links" in caplog.text and "1 singular" in caplog.text
         assert admissible(prob, [0, 1]) is None
 
+    def test_one_set_box_test_matches_in_box(self, monkeypatch):
+        # A one-set call tests the box entry by entry in Python: NaN, +inf and
+        # entries past the slack fail, the two bounds themselves pass, and
+        # every verdict is _in_box's.
+        atol = admission.ADMISSIBLE_ATOL
+        prob = diag_problem(K=3, b=0.5)
+        for entry, want in ((np.nan, False), (np.inf, False), (-2.0 * atol, False),
+                            (1.0 + 2.0 * atol, False), (-atol, True), (1.0 + atol, True)):
+            for pos in range(3):
+                x = np.full(3, 0.5)
+                x[pos] = entry
+                monkeypatch.setattr(admission, "lu_solve", lambda a, b, x=x: x[:, None].copy())
+                x_s, ok = admission._admissible_rows(prob, np.arange(3))
+                assert ok is want and bool(admission._in_box(x)) is want, (entry, pos)
+                if ok:
+                    assert x_s.tolist() == np.clip(x, 0.0, 1.0).tolist()
+
 
 class TestMinPowerAllocation:
     """The minimum-power allocation of a set is the x_S that admissible returns."""

@@ -311,7 +311,7 @@ class TestSolveNormal:
         # The LU solve can meet an exactly zero pivot in a positive definite
         # system (seen at condition numbers near 1 / eps); that takes a ridge
         # retry.
-        solve = np.linalg.solve
+        solve = kernel.lu_solve
         calls = []
 
         def singular_once(a, b):
@@ -324,12 +324,12 @@ class TestSolveNormal:
         B = rng.standard_normal((2, 4, 4))
         S = B @ np.swapaxes(B, 1, 2) + np.eye(4)
         rhs = rng.standard_normal((2, 4))
-        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        monkeypatch.setattr(kernel, "lu_solve", singular_once)
         sol, retries = kernel._solve_normal(S, rhs)
-        assert retries == 1
+        assert retries == 1 and len(calls) == 2
         for n in range(2):
             ridge = np.trace(S[n]) / 4 * 1e-12
-            assert sol[n] == pytest.approx(solve(S[n] + ridge * np.eye(4), rhs[n]), rel=1e-9)
+            assert sol[n] == pytest.approx(np.linalg.solve(S[n] + ridge * np.eye(4), rhs[n]), rel=1e-9)
 
     def test_retries_reach_certificates(self, aug3, monkeypatch):
         # Fail the first Schur solve; every start in that lockstep batch is
@@ -344,23 +344,25 @@ class TestSolveNormal:
     def test_one_lu_solve_per_step(self, monkeypatch):
         # One batched LU solve and no Cholesky factorization per lockstep
         # direction: one per step taken, plus the one the last start retires at.
-        counts = {"solve": 0, "cholesky": 0}
+        # Every solve goes through lu_solve, none through numpy.linalg itself.
+        counts = {"lu_solve": 0, "solve": 0, "cholesky": 0}
 
-        def counting(name):
-            inner = getattr(np.linalg, name)
+        def counting(module, name):
+            inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return inner(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
         prob = random_problem(12, 3)
         aug = kernel.augment(prob, q=0.5)
-        for name in counts:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        counting(kernel, "lu_solve")
+        for name in ("solve", "cholesky"):
+            counting(np.linalg, name)
         res = kernel.multistart_solve(aug, kernel.SolverConfig(epsilon=1e-6), n_starts=4, seed=0)
         iterations = [c.iterations for c in res.certificates]
-        assert counts == {"solve": max(iterations) + 1, "cholesky": 0}
+        assert counts == {"lu_solve": max(iterations) + 1, "solve": 0, "cholesky": 0}
 
 
 def _batch_case(K, q, seed, n_starts=6):
@@ -638,6 +640,12 @@ class TestConfig:
             with pytest.raises(ValueError, match="trace_path"):
                 kernel.SolverConfig(trace_path=bad)
         assert kernel.SolverConfig(trace_path=tmp_path / "t.jsonl").trace_path == tmp_path / "t.jsonl"
+
+    def test_empty_trace_path_raises_as_open_does(self, aug3):
+        # "" is a path that open() rejects, not a request for no trace.
+        config = kernel.SolverConfig(trace_path="")
+        with pytest.raises(FileNotFoundError):
+            kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1.0])
     def test_epsilon_must_be_finite_below_one(self, epsilon):

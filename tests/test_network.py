@@ -1,6 +1,7 @@
 """Channel model, normalization, alpha selection, and subset restriction."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from jpac.network import (
     NetworkInstance,
     NormalizedProblem,
+    lu_solve,
     normalize,
     restrict,
     select_alpha,
@@ -78,6 +80,35 @@ class TestNormalize:
             off = prob.A - np.diag(np.diag(prob.A))
             assert np.all(off <= 0.0)
             assert np.all(prob.b > 0.0)
+
+
+class TestLuSolve:
+    """lu_solve calls numpy's private LAPACK gufunc; a numpy upgrade that moves or changes it fails here."""
+
+    def test_bit_identical_to_numpy_solve(self):
+        rng = np.random.default_rng(0)
+        for shape_a, shape_b in (((5, 5), (5, 1)), ((5, 5), (5, 4)), ((1, 1), (1, 1)),
+                                 ((7, 6, 6), (7, 6, 1)), ((7, 6, 6), (7, 6, 3)), ((3, 10, 10), (3, 10, 11))):
+            a = rng.standard_normal(shape_a) + 3.0 * np.eye(shape_a[-1])
+            b = rng.standard_normal(shape_b)
+            got = lu_solve(a, b)
+            want = np.linalg.solve(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (shape_a, shape_b)
+
+    def test_singular_block_raises_without_warning(self):
+        singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        stack = np.stack([np.eye(2), singular, 2.0 * np.eye(2)])
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                lu_solve(singular, np.ones((2, 1)))
+            with pytest.raises(np.linalg.LinAlgError):
+                lu_solve(stack, np.ones((3, 2, 1)))
+            with pytest.raises(np.linalg.LinAlgError):
+                lu_solve(np.zeros((3, 3)), np.ones((3, 2)))
+        assert np.geterr() == before
 
 
 class TestSpectralRadius:

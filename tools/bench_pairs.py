@@ -35,7 +35,8 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 BETTER = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 PAIRS = 10
 SECONDS = 35
-TRACE_METRICS = ("admission.run_s", "network.restrict_s", "admission.admissible_calls", "kernel.iterations")
+TRACE_METRICS = ("admission.run_s", "network.restrict_s", "admission.admissible_calls", "kernel.iterations",
+                 "kernel.ms_per_step", "oracle.enumerate_s")
 THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 IMPORT = "import time; t = time.perf_counter(); import numpy, jpac; print(time.perf_counter() - t)"
 
