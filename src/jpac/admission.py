@@ -76,24 +76,31 @@ def _admissible_rows(problem: NormalizedProblem, idx: np.ndarray) -> tuple[np.nd
     row; in a stack it makes each row be solved alone, which is logged at
     DEBUG.  Read passing rows only.
     """
-    A_SS, b_S = problem.A[idx[..., :, None], idx[..., None, :]], problem.b[idx]
-    try:
-        x = lu_solve(A_SS, b_S[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if idx.ndim == 1:
+    if idx.ndim == 1:
+        # One set, as the oracle asks 2^K - 1 times: take gathers the same
+        # values as fancy indexing at less cost, and the box test compares x
+        # entry by entry in Python, cheaper than two numpy reductions on a few
+        # links.  A NaN fails both comparisons.  A rejected set skips the
+        # clip, and so does x inside (0, 1], which the clip leaves as it is;
+        # the strict 0 < sends -0.0 through the clip.
+        try:
+            x = lu_solve(problem.A.take(idx, 0).take(idx, 1), problem.b.take(idx)[:, None])[:, 0]
+        except np.linalg.LinAlgError:
             return np.full(idx.shape, np.nan), False
+        xs = x.tolist()
+        if not all(-ADMISSIBLE_ATOL <= v <= 1.0 + ADMISSIBLE_ATOL for v in xs):
+            return x, False
+        if 0.0 < min(xs) and max(xs) <= 1.0:    # no NaN is left for min and max to skip
+            return x, True
+        return np.minimum(np.maximum(x, 0.0), 1.0), True
+    try:
+        x = lu_solve(problem.A[idx[:, :, None], idx[:, None, :]], problem.b[idx][:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
         rows = [_admissible_rows(problem, row) for row in idx]
         x = np.stack([x_row for x_row, _ in rows])
         logger.debug("stack of %d sets of %d links holds a singular block; solved each alone, "
                      "%d singular", *idx.shape, int(np.isnan(x).any(axis=-1).sum()))
         return x, np.array([ok for _, ok in rows])
-    if idx.ndim == 1:
-        # _in_box on one set, as the oracle asks 2^K - 1 times, compared entry
-        # by entry in Python: cheaper than two numpy reductions on a few links.
-        # A NaN fails both comparisons.  A rejected set skips the clip.
-        if not all(-ADMISSIBLE_ATOL <= v <= 1.0 + ADMISSIBLE_ATOL for v in x.tolist()):
-            return x, False
-        return np.minimum(np.maximum(x, 0.0), 1.0), True
     return np.minimum(np.maximum(x, 0.0), 1.0), _in_box(x)
 
 

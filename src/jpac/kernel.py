@@ -227,17 +227,23 @@ def _projected_direction(W: np.ndarray, f: np.ndarray, problem: AugmentedProblem
     A = problem.A
     w1, w2, w3 = W[:, :k], W[:, k : 2 * k], W[:, 2 * k :]
     s = (f / rho)[:, None]
-    grad2 = problem.q * w2 ** (problem.q - 1.0)
     d1, d2, d3 = w1 * w1, w2 * w2, w3 * w3
     v1 = d1 * problem.c_tilde - w1 * s                   # blocks of W (W grad f - f / rho)
     r2 = v1 - w3 * s
     d13 = d1 + d3
     S = (A * (d1 * d3 / d13)[:, None, :]) @ A.T          # A Diag(d1 d3 / (d1 + d3)) A^T
-    np.einsum("nii->ni", S)[...] += d2                   # + D2
+    S.reshape(-1, k * k)[:, :: k + 1] += d2              # + D2, through a strided view of each diagonal
+    # v2 = d2 o grad2 - w2 o s.  At q = 1, grad2 = q w2^0 is exactly 1 and
+    # d2 o 1 is exactly d2, so both are left out.
+    if problem.q == 1.0:
+        grad2, v2 = 1.0, d2 - w2 * s
+    else:
+        grad2 = problem.q * w2 ** (problem.q - 1.0)
+        v2 = d2 * grad2 - w2 * s
     # r1 - A (d1 / (d1 + d3) o r2) with r1 = A v1 + v2
     # Products with A go one row at a time (stacked matmul), so a row's
     # arithmetic is the same in a batch of any size.
-    rhs = (A @ (v1 - d1 / d13 * r2)[:, :, None])[:, :, 0] + (d2 * grad2 - w2 * s)
+    rhs = (A @ (v1 - d1 / d13 * r2)[:, :, None])[:, :, 0] + v2
     lam1, retries = _solve_normal(S, rhs)
     lam1_a = (lam1[:, None, :] @ A)[:, 0, :]
     lam2 = (r2 - d1 * lam1_a) / d13
@@ -248,6 +254,10 @@ def _projected_direction(W: np.ndarray, f: np.ndarray, problem: AugmentedProblem
     return np.concatenate([lam1, lam2], axis=1), resid, g, norm_g, retries
 
 
+# A step length, a candidate and its log may overflow, divide by zero or be
+# invalid (a candidate past the boundary); each such case is rejected below.
+# The error state is applied as a decorator, once per call.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _line_search(
     W: np.ndarray, g: np.ndarray, norm_g: np.ndarray, problem: AugmentedProblem, rho: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,15 +277,14 @@ def _line_search(
     k = problem.K
     g_min = g.min(axis=1)
     t = np.empty((n, 1 + LINE_SEARCH_FRACTIONS.size))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t[:, 0] = STEP_BETA / norm_g
-        # t_max = min over g_n < 0 of -1 / g_n
-        t[:, 1:] = np.where(g_min < 0.0, -1.0 / g_min, np.inf)[:, None] * LINE_SEARCH_FRACTIONS
-        cand = W[:, None, :] * (1.0 + t[:, :, None] * g[:, None, :])   # (N, C, 3K)
-        log_cand = np.log(cand)
-        w2q = cand[..., k : 2 * k] if problem.q == 1.0 else np.exp(problem.q * log_cand[..., k : 2 * k])
-        f = cand[..., :k] @ problem.c_tilde + w2q.sum(axis=-1)
-        phi = rho * np.log(f) - log_cand.sum(axis=-1)
+    t[:, 0] = STEP_BETA / norm_g
+    # t_max = min over g_n < 0 of -1 / g_n
+    t[:, 1:] = np.where(g_min < 0.0, -1.0 / g_min, np.inf)[:, None] * LINE_SEARCH_FRACTIONS
+    cand = W[:, None, :] * (1.0 + t[:, :, None] * g[:, None, :])   # (N, C, 3K)
+    log_cand = np.log(cand)
+    w2q = cand[..., k : 2 * k] if problem.q == 1.0 else np.exp(problem.q * log_cand[..., k : 2 * k])
+    f = cand[..., :k] @ problem.c_tilde + w2q.sum(axis=-1)
+    phi = rho * np.log(f) - log_cand.sum(axis=-1)
     phi[~np.isfinite(phi)] = np.inf
     rows = np.arange(n)
     best = phi.argmin(axis=1)

@@ -35,6 +35,9 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+# The error state is applied as a decorator: it is set and restored on each
+# call, as a `with` block would, at about half the cost per call.
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """numpy.linalg.solve(a, b), bit for bit, for float64 a of shape (..., m, m) and b of shape (..., m, n).
 
@@ -43,8 +46,7 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     skips is the wrapper's conversions and type checks, which cost more than
     LAPACK on the small systems jpac solves.
     """
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve(a, b, signature="dd->d")
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def _as_vector(v, k: int, name: str) -> np.ndarray:

@@ -109,6 +109,42 @@ class TestAdmissibleRows:
                 if ok:
                     assert x_s.tolist() == np.clip(x, 0.0, 1.0).tolist()
 
+    @staticmethod
+    def _assert_matches_numpy_solve(prob, S):
+        # The verdict is _in_box of numpy.linalg.solve's x_S (a singular A_SS
+        # fails), and an accepted x is that x clipped, bit for bit.
+        try:
+            want = np.linalg.solve(prob.A[np.ix_(S, S)], prob.b[S])
+        except np.linalg.LinAlgError:
+            assert admissible(prob, S) is None
+            return None
+        x_s = admissible(prob, S)
+        assert (x_s is not None) is bool(admission._in_box(want)), S
+        if x_s is not None:
+            assert x_s.tobytes() == np.minimum(np.maximum(want, 0.0), 1.0).tobytes(), S
+        return want
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 10), scale=st.sampled_from([1.0, 0.707]),
+           data=st.data())
+    def test_one_set_matches_numpy_solve_bitwise(self, seed, K, scale, data):
+        prob = random_problem(K, seed, scale)
+        S = sorted(data.draw(st.sets(st.integers(0, K - 1), min_size=1)))
+        self._assert_matches_numpy_solve(prob, S)
+
+    def test_one_set_clips_entries_within_the_slack(self):
+        # Hand-built sets whose x has entries in [-atol, 0) or in (1, 1 + atol]:
+        # they pass, and the clip still maps those entries to 0 and 1.
+        atol = admission.ADMISSIBLE_ATOL
+        above = NormalizedProblem(A=np.eye(3), b=[0.5, 1.0 + 0.5 * atol, 1.0 + atol], budgets=np.ones(3))
+        # A = [[1, -2], [-2, 1]] is no M-matrix: b = 5e-12 gives x = -5e-12 in both entries.
+        below = NormalizedProblem(A=[[1.0, -2.0], [-2.0, 1.0]], b=[0.05 * atol, 0.05 * atol], budgets=[1.0, 1.0])
+        for prob, S, clipped in ((above, [0, 1, 2], [0.5, 1.0, 1.0]), (above, [1, 2], [1.0, 1.0]),
+                                 (below, [0, 1], [0.0, 0.0])):
+            want = self._assert_matches_numpy_solve(prob, S)
+            assert np.all((want > 1.0) | (want < 0.0) | (want == 0.5)), want
+            assert admissible(prob, S).tolist() == clipped
+
 
 class TestMinPowerAllocation:
     """The minimum-power allocation of a set is the x_S that admissible returns."""

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,27 @@ class TestLineSearch:
         assert any(np.array_equal(w_new[0], c) for c in candidates)
         assert f_new == pytest.approx(kernel._batch_objective(w_new, aug), rel=1e-12)
         assert phi_new == pytest.approx(kernel._batch_potential(w_new, aug, rho), rel=1e-12)
+
+    def test_error_state_restored_after_each_call(self):
+        # The rejected candidate of the test above takes the log of a
+        # negative number, and a NaN direction leaves no finite candidate.
+        # Neither warns nor raises a FloatingPointError, even inside a
+        # raising error state, and the caller's state is as before after a
+        # return and after the RuntimeError.
+        prob = random_problem(4, 11)
+        aug = kernel.augment(prob, q=0.5)
+        rho = kernel.SolverConfig().rho(aug.K, aug.q)
+        W = kernel.interior_point_default(aug)[None, :]
+        g = np.linspace(-2.0, 1.0, W.shape[1])[None, :]
+        norm_g = np.array([0.05 * np.linalg.norm(g)])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = np.geterr(), np.geterrcall()
+            kernel._line_search(W, g, norm_g, aug, rho)
+            assert (np.geterr(), np.geterrcall()) == before
+            with pytest.raises(RuntimeError, match="no step candidate"):
+                kernel._line_search(W, np.full_like(g, np.nan), norm_g, aug, rho)
+            assert (np.geterr(), np.geterrcall()) == before
 
 
 class TestProjectedDirection:

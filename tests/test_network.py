@@ -110,6 +110,30 @@ class TestLuSolve:
                 lu_solve(np.zeros((3, 3)), np.ones((3, 2)))
         assert np.geterr() == before
 
+    def test_error_state_restored_after_each_call(self):
+        # The error state is set for the call only: after a solve and after
+        # a LinAlgError, the caller's state and error callback are as before.
+        def callback(err, flag):
+            pass
+
+        with np.errstate(divide="warn", over="raise", under="ignore", invalid="print", call=callback):
+            before = np.geterr(), np.geterrcall()
+            lu_solve(np.eye(3) + 0.1, np.ones((3, 1)))
+            assert (np.geterr(), np.geterrcall()) == before
+            with pytest.raises(np.linalg.LinAlgError):
+                lu_solve(np.zeros((2, 2)), np.ones((2, 1)))
+            assert (np.geterr(), np.geterrcall()) == before
+
+    def test_singular_block_raises_inside_a_raising_error_state(self):
+        # A caller that raises on every floating-point error still gets the
+        # LinAlgError, not a FloatingPointError, and no warning.
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = np.geterr(), np.geterrcall()
+            with pytest.raises(np.linalg.LinAlgError):
+                lu_solve(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones((2, 1)))
+            assert (np.geterr(), np.geterrcall()) == before
+
 
 class TestSpectralRadius:
     def test_three_link_interference_block(self):

@@ -15,6 +15,11 @@ quartiles, ranges and the count of pairs the change wins ("summary"),
 30 alternating pairs of fresh-interpreter `import numpy, jpac` times
 ("import_check"), and one seed-1 `--trace 1` run per tree and workload
 ("trace": the per-layer metrics named in TRACE_METRICS).
+
+Every subprocess has a timeout.  A perfbench run that passes RUN_TIMEOUT_S
+is killed and recorded as a failed run with "exit": "timeout"; an import
+pair with a side past IMPORT_TIMEOUT_S is left out of the import check
+and counted in its "timed_out_pairs".
 """
 
 from __future__ import annotations
@@ -39,12 +44,18 @@ TRACE_METRICS = ("admission.run_s", "network.restrict_s", "admission.admissible_
                  "kernel.ms_per_step", "oracle.enumerate_s")
 THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 IMPORT = "import time; t = time.perf_counter(); import numpy, jpac; print(time.perf_counter() - t)"
+RUN_TIMEOUT_S = 10 * SECONDS    # a healthy run takes SECONDS plus one pool pass
+IMPORT_TIMEOUT_S = 60
 
 
 def run(tree: Path, workload: str, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env={**os.environ, **THREADS})
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env={**os.environ, **THREADS},
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"correct": False, "exit": "timeout"}
     lines = proc.stdout.strip().splitlines()
     out = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {"correct": False}
     return {**out, "exit": proc.returncode}
@@ -72,17 +83,31 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
+def import_seconds(tree: Path) -> float | None:
+    """One fresh-interpreter import time of numpy and the tree's jpac; None past IMPORT_TIMEOUT_S."""
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(tree / "src")}
+    try:
+        proc = subprocess.run([sys.executable, "-c", IMPORT], capture_output=True, text=True, env=env,
+                              check=True, timeout=IMPORT_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return float(proc.stdout)
+
+
 def import_check(trees: dict, pairs: int) -> dict:
     times = {side: [] for side in trees}
+    timed_out = 0
     for i in range(pairs):
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            env = {**os.environ, **THREADS, "PYTHONPATH": str(trees[side] / "src")}
-            proc = subprocess.run([sys.executable, "-c", IMPORT], capture_output=True, text=True, env=env,
-                                  check=True)
-            times[side].append(float(proc.stdout))
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {side: import_seconds(trees[side]) for side in order}
+        if None in pair.values():
+            timed_out += 1
+            continue
+        for side, value in pair.items():
+            times[side].append(value)
     out = {"what": f"seconds for 'import numpy, jpac' in a fresh interpreter, {pairs} alternating pairs, "
-                   "OMP_NUM_THREADS=1"}
-    for side, values in times.items():
+                   "OMP_NUM_THREADS=1", "timed_out_pairs": timed_out}
+    for side, values in times.items() if timed_out < pairs else ():
         s = spread(values)
         out[side] = {"min": round(min(values), 4), "median": round(s["median"], 4),
                      "iqr": [round(v, 4) for v in s["iqr"]]}
@@ -105,7 +130,8 @@ def main(argv=None) -> int:
         "parent": rev,
         "order": "alternating parent/change within each pair ('first' names the side run first), "
                  "one run at a time",
-        "environment": {"python": platform.python_version(), "numpy": np.__version__, "nproc": os.cpu_count(),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "nproc": len(os.sched_getaffinity(0)),
                         "threads": "OMP_NUM_THREADS=OPENBLAS_NUM_THREADS=MKL_NUM_THREADS=1"},
         "summary": {},
         "import_check": import_check(trees, 30),
