@@ -27,17 +27,14 @@ run_nlpd / run_lqmd report, is a row position of the problem argument.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .network import NormalizedProblem, index_set, lu_solve, restrict, select_alpha
+from .network import NormalizedProblem, index_set, is_real, lu_solve, restrict, select_alpha
 
 ADMISSIBLE_ATOL = 1e-10   # bound slack of the [0, 1] test on x_S
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -69,50 +66,31 @@ def _in_box(x: np.ndarray) -> np.ndarray:
     return (x.min(axis=-1) >= -ADMISSIBLE_ATOL) & (x.max(axis=-1) <= 1.0 + ADMISSIBLE_ATOL)
 
 
-def _admissible_rows(problem: NormalizedProblem, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped minimum-power x and admissibility verdict per sorted index row of idx, (m,) or (n, m).
-
-    One solve covers every row.  A singular block is rejected with a NaN x
-    row; in a stack it makes each row be solved alone, which is logged at
-    DEBUG.  Read passing rows only.
-    """
-    if idx.ndim == 1:
-        # One set, as the oracle asks 2^K - 1 times: take gathers the same
-        # values as fancy indexing at less cost, and the box test compares x
-        # entry by entry in Python, cheaper than two numpy reductions on a few
-        # links.  A NaN fails both comparisons.  A rejected set skips the
-        # clip, and so does x inside (0, 1], which the clip leaves as it is;
-        # the strict 0 < sends -0.0 through the clip.
-        try:
-            x = lu_solve(problem.A.take(idx, 0).take(idx, 1), problem.b.take(idx)[:, None])[:, 0]
-        except np.linalg.LinAlgError:
-            return np.full(idx.shape, np.nan), False
-        xs = x.tolist()
-        if not all(-ADMISSIBLE_ATOL <= v <= 1.0 + ADMISSIBLE_ATOL for v in xs):
-            return x, False
-        if 0.0 < min(xs) and max(xs) <= 1.0:    # no NaN is left for min and max to skip
-            return x, True
-        return np.minimum(np.maximum(x, 0.0), 1.0), True
-    try:
-        x = lu_solve(problem.A[idx[:, :, None], idx[:, None, :]], problem.b[idx][:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        rows = [_admissible_rows(problem, row) for row in idx]
-        x = np.stack([x_row for x_row, _ in rows])
-        logger.debug("stack of %d sets of %d links holds a singular block; solved each alone, "
-                     "%d singular", *idx.shape, int(np.isnan(x).any(axis=-1).sum()))
-        return x, np.array([ok for _, ok in rows])
-    return np.minimum(np.maximum(x, 0.0), 1.0), _in_box(x)
-
-
 def admissible(problem: NormalizedProblem, S) -> np.ndarray | None:
     """Minimum-power x_S, clipped to [0, 1], if S is admissible, else None.
 
     S is admissible iff A_SS x = b_S has a solution inside [0, 1]^|S| up to
     ADMISSIBLE_ATOL (module docstring); a singular A_SS is not.  S is
     checked as restrict checks it.
+
+    The oracle asks this 2^K - 1 times, each on a few links: take gathers
+    the same values as fancy indexing at less cost, and the box test
+    compares x entry by entry in Python, cheaper than two numpy reductions
+    and the same verdict as _in_box (a NaN fails both comparisons).  x
+    inside (0, 1] skips the clip, which would leave it as it is; the
+    strict 0 < sends -0.0 through the clip.
     """
-    x_s, ok = _admissible_rows(problem, index_set(S, problem.K))
-    return x_s if ok else None
+    idx = index_set(S, problem.K)
+    try:
+        x = lu_solve(problem.A.take(idx, 0).take(idx, 1), problem.b.take(idx)[:, None])[:, 0]
+    except np.linalg.LinAlgError:
+        return None
+    xs = x.tolist()
+    if not all(-ADMISSIBLE_ATOL <= v <= 1.0 + ADMISSIBLE_ATOL for v in xs):
+        return None
+    if 0.0 < min(xs) and max(xs) <= 1.0:    # no NaN is left for min and max to skip
+        return x
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def _necessary(mu: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -308,8 +286,8 @@ def run_lqmd(
     alpha is recomputed by select_alpha on every deflation round's
     restricted problem.
     """
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0, 1)")
+    if not (is_real(q) and 0.0 < q < 1.0):
+        raise ValueError(f"q must be a number in (0, 1), got {q!r}")
     # Checked up front: a run that needs no deflation round never reaches multistart_solve.
     kernel.check_starts(n_starts, seed)
     config = config or kernel.SolverConfig()

@@ -45,12 +45,15 @@ class ExperimentConfig:
         for name in ("runs", "n_starts", "seed"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
-        if not is_real(self.epsilon):
-            raise ValueError("epsilon must be a number")
         if not isinstance(self.K_list, list) or not all(map(is_int, self.K_list)):
             raise ValueError("K_list must be a list of integers")
         if not isinstance(self.q_list, list) or not all(map(is_real, self.q_list)):
             raise ValueError("q_list must be a list of numbers")
+        # A repeated value would run its cells again and emit their rows twice.
+        for name in ("K_list", "q_list"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if self.runs < 0:
             raise ValueError("runs must be nonnegative")
         if self.seed < 0:

@@ -51,7 +51,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .network import NormalizedProblem, is_int, lu_solve
+from .network import NormalizedProblem, is_int, is_real, lu_solve
 
 EPS_OPTIMAL = "eps-optimal"
 EPS_KKT = "eps-kkt"
@@ -87,6 +87,9 @@ class AugmentedProblem:
     q: float
 
     def __post_init__(self):
+        if not is_real(self.q):
+            raise ValueError(f"q must be a number, got {self.q!r}")
+        object.__setattr__(self, "q", float(self.q))
         if not (0.0 < self.q <= 1.0):
             raise ValueError("q must lie in (0, 1]")
         k = self.K
@@ -134,6 +137,8 @@ class SolverConfig:
     zero_tol: ClassVar[float] = SUPPORT_TOL   # readable as config.zero_tol, not settable
 
     def __post_init__(self):
+        if not is_real(self.epsilon):
+            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
         # NaN fails every comparison, so the test rejects it too.
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
@@ -154,7 +159,7 @@ class SolverConfig:
 def augment(normalized: NormalizedProblem, q: float = 1.0) -> AugmentedProblem:
     """The slack form of a normalized problem, weighting power by its alpha."""
     return AugmentedProblem(A=normalized.A, b=normalized.b,
-                            c_tilde=normalized.alpha * normalized.budgets, q=float(q))
+                            c_tilde=normalized.alpha * normalized.budgets, q=q)
 
 
 def interior_point_default(problem: AugmentedProblem) -> np.ndarray:

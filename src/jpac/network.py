@@ -103,6 +103,8 @@ class NetworkInstance:
         if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
             raise ValueError(f"gains must be a square matrix, got {gains.shape}")
         k = gains.shape[0]
+        if k == 0:
+            raise ValueError("gains must hold at least one link")
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "noise", _as_vector(self.noise, k, "noise"))
         object.__setattr__(self, "sinr_targets", _as_vector(self.sinr_targets, k, "sinr_targets"))
@@ -181,6 +183,8 @@ class NormalizedProblem:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
         k = A.shape[0]
+        if k == 0:
+            raise ValueError("A must hold at least one link")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", _as_vector(self.b, k, "b"))
         object.__setattr__(self, "budgets", _as_vector(self.budgets, k, "budgets"))
@@ -197,6 +201,8 @@ class NormalizedProblem:
         alpha1 = self.alpha1
         if self.alpha is None:
             object.__setattr__(self, "alpha", ALPHA_FRACTION * alpha1)
+        elif not is_real(self.alpha):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not (0.0 < self.alpha < alpha1):
             raise ValueError(f"alpha must lie in (0, {alpha1}), got {self.alpha}")
 
@@ -215,6 +221,8 @@ class NormalizedProblem:
         Only alpha is checked: A, b and pbar are this problem's own arrays,
         already validated when it was built.
         """
+        if not is_real(alpha):
+            raise ValueError(f"alpha must be a number, got {alpha!r}")
         alpha = float(alpha)
         alpha1 = self.alpha1
         if not (0.0 < alpha < alpha1):

@@ -1,7 +1,6 @@
 """Deflation algorithms and exact supportability primitives."""
 
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -74,26 +73,10 @@ class TestAdmissible:
 
 
 class TestAdmissibleRows:
-    def test_singular_stack_member_solved_alone_and_logged(self, caplog):
-        # Rows {0, 1} give a singular block, which fails the stacked solve;
-        # each row is then solved alone, the singular one is rejected, and
-        # the fallback is logged.  A stack that solves as given logs nothing.
-        prob = NormalizedProblem(A=[[1.0, -1.0, 0.0], [-1.0, 1.0, -0.5], [0.0, -0.5, 1.0]],
-                                 b=[0.25, 0.25, 0.25], budgets=[1.0, 1.0, 1.0])
-        with caplog.at_level(logging.DEBUG, logger="jpac.admission"):
-            _, ok = admission._admissible_rows(prob, np.array([[0, 2], [1, 2]]))
-            assert ok.tolist() == [True, True] and not caplog.records
-            x, ok = admission._admissible_rows(prob, np.array([[0, 1], [1, 2]]))
-        x_alone, ok_alone = admission._admissible_rows(prob, np.array([1, 2]))
-        assert ok.tolist() == [False, True] and ok_alone
-        assert np.isnan(x[0]).all()
-        assert x[1].tobytes() == x_alone.tobytes()
-        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-        assert "stack of 2 sets of 2 links" in caplog.text and "1 singular" in caplog.text
-        assert admissible(prob, [0, 1]) is None
+    """admissible's body on the rows of one set: its box test, its clip and its bits."""
 
     def test_one_set_box_test_matches_in_box(self, monkeypatch):
-        # A one-set call tests the box entry by entry in Python: NaN, +inf and
+        # admissible tests the box entry by entry in Python: NaN, +inf and
         # entries past the slack fail, the two bounds themselves pass, and
         # every verdict is _in_box's.
         atol = admission.ADMISSIBLE_ATOL
@@ -104,7 +87,8 @@ class TestAdmissibleRows:
                 x = np.full(3, 0.5)
                 x[pos] = entry
                 monkeypatch.setattr(admission, "lu_solve", lambda a, b, x=x: x[:, None].copy())
-                x_s, ok = admission._admissible_rows(prob, np.arange(3))
+                x_s = admissible(prob, [0, 1, 2])
+                ok = x_s is not None
                 assert ok is want and bool(admission._in_box(x)) is want, (entry, pos)
                 if ok:
                     assert x_s.tolist() == np.clip(x, 0.0, 1.0).tolist()
@@ -365,6 +349,12 @@ class TestRunLqmd:
         for seed in (-1, 1.5):
             with pytest.raises(ValueError, match="seed"):
                 run_lqmd(three_link, q=0.5, n_starts=5, seed=seed)
+
+    @pytest.mark.parametrize("q", [True, "0.5", None], ids=["bool", "str", "none"])
+    def test_q_must_be_a_number(self, three_link, q):
+        # Unchecked, "0.5" and None fail the range test with a TypeError.
+        with pytest.raises(ValueError, match="q must be a number"):
+            run_lqmd(three_link, q=q, n_starts=2)
 
 
 @pytest.fixture(scope="module")

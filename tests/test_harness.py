@@ -146,6 +146,11 @@ class TestRunExperiment:
             ExperimentConfig(experiment="deflate-compare", q_list=[1.5])
         with pytest.raises(ValueError):
             ExperimentConfig.from_json('{"experiment": "deflate-compare", "bogus": 1}')
+        # Unchecked, a repeated value emits each of its instances' rows twice.
+        with pytest.raises(ValueError, match="K_list must not repeat"):
+            ExperimentConfig(experiment="deflate-compare", K_list=[4, 4], runs=2)
+        with pytest.raises(ValueError, match="q_list must not repeat"):
+            ExperimentConfig(experiment="approx-compare", q_list=[0.5, 0.5])
 
 
 class TestCli:

@@ -67,6 +67,16 @@ class TestAugment:
         with pytest.raises(ValueError):
             kernel.augment(three_link, q=1.5)
 
+    @pytest.mark.parametrize("q", [True, "0.5", None], ids=["bool", "str", "none"])
+    def test_q_must_be_a_number(self, three_link, q):
+        # Unchecked, augment's float() accepts "0.5" and raises a TypeError on
+        # None, and AugmentedProblem takes True as q = 1.
+        with pytest.raises(ValueError, match="q must be a number"):
+            kernel.augment(three_link, q=q)
+        with pytest.raises(ValueError, match="q must be a number"):
+            kernel.AugmentedProblem(A=np.ones((1, 1)), b=np.ones(1), c_tilde=np.zeros(1), q=q)
+        assert type(kernel.augment(three_link, q=1).q) is float
+
 
 class TestObjectiveGradient:
     def test_linear_case(self):
@@ -668,6 +678,12 @@ class TestConfig:
         config = kernel.SolverConfig(trace_path="")
         with pytest.raises(FileNotFoundError):
             kernel.solve_potential_reduction(aug3, config, kernel.interior_point_default(aug3))
+
+    @pytest.mark.parametrize("epsilon", [True, "0.1", None], ids=["bool", "str", "none"])
+    def test_epsilon_must_be_a_number(self, epsilon):
+        # Unchecked, "0.1" and None fail the range test with a TypeError.
+        with pytest.raises(ValueError, match="epsilon must be a number"):
+            kernel.SolverConfig(epsilon=epsilon)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1.0])
     def test_epsilon_must_be_finite_below_one(self, epsilon):

@@ -255,6 +255,28 @@ class TestValidation:
             with pytest.raises(ValueError, match="alpha"):
                 three_link.with_alpha(alpha)
 
+    @pytest.mark.parametrize("alpha", [True, "0.1"], ids=["bool", "str"])
+    def test_alpha_must_be_a_number(self, alpha):
+        # alpha1 = 1 / 0.3 > 1: unchecked, True passes the range test and is
+        # stored as a bool, and "0.1" fails the comparison with a TypeError.
+        # None is not here: it stands for the select_alpha value.
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            NormalizedProblem(A=np.eye(3), b=np.full(3, 0.5), budgets=np.full(3, 0.1), alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [True, "0.1", None], ids=["bool", "str", "none"])
+    def test_with_alpha_takes_a_number(self, alpha):
+        # Unchecked, float() makes True and "0.1" weights in range, and None a TypeError.
+        prob = NormalizedProblem(A=np.eye(3), b=np.full(3, 0.5), budgets=np.full(3, 0.1))
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            prob.with_alpha(alpha)
+
+    def test_empty_network_rejected(self):
+        # Unchecked, an empty network fails later in alpha1 with a ZeroDivisionError.
+        with pytest.raises(ValueError, match="gains must hold at least one link"):
+            NetworkInstance(gains=np.zeros((0, 0)), noise=[], sinr_targets=[], budgets=[])
+        with pytest.raises(ValueError, match="A must hold at least one link"):
+            NormalizedProblem(A=np.zeros((0, 0)), b=[], budgets=[])
+
 
 class TestSerialization:
     def test_instance_round_trip(self, three_link_instance):

@@ -13,8 +13,9 @@ first in odd pairs and the change first in even ones.  The record holds
 every run's final JSON line ("pairs"), per-metric medians, inclusive
 quartiles, ranges and the count of pairs the change wins ("summary"),
 30 alternating pairs of fresh-interpreter `import numpy, jpac` times
-("import_check"), and one seed-1 `--trace 1` run per tree and workload
-("trace": the per-layer metrics named in TRACE_METRICS).
+("import_check"), and TRACE_RUNS alternating seed-1 `--trace 1` runs per
+tree and workload ("trace": the median and range of each per-layer metric
+named in TRACE_METRICS; one traced run is too noisy to show a change).
 
 Every subprocess has a timeout.  A perfbench run that passes RUN_TIMEOUT_S
 is killed and recorded as a failed run with "exit": "timeout"; an import
@@ -39,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 BETTER = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 PAIRS = 10
+TRACE_RUNS = 5
 SECONDS = 35
 TRACE_METRICS = ("admission.run_s", "network.restrict_s", "admission.admissible_calls", "kernel.iterations",
                  "kernel.ms_per_step", "oracle.enumerate_s")
@@ -46,6 +48,7 @@ THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS
 IMPORT = "import time; t = time.perf_counter(); import numpy, jpac; print(time.perf_counter() - t)"
 RUN_TIMEOUT_S = 10 * SECONDS    # a healthy run takes SECONDS plus one pool pass
 IMPORT_TIMEOUT_S = 60
+ORDER = (("parent", "change"), ("change", "parent"))   # run i goes in ORDER[i % 2]
 
 
 def run(tree: Path, workload: str, trace: int) -> dict:
@@ -98,8 +101,7 @@ def import_check(trees: dict, pairs: int) -> dict:
     times = {side: [] for side in trees}
     timed_out = 0
     for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: import_seconds(trees[side]) for side in order}
+        pair = {side: import_seconds(trees[side]) for side in ORDER[i % 2]}
         if None in pair.values():
             timed_out += 1
             continue
@@ -112,6 +114,22 @@ def import_check(trees: dict, pairs: int) -> dict:
         out[side] = {"min": round(min(values), 4), "median": round(s["median"], 4),
                      "iqr": [round(v, 4) for v in s["iqr"]]}
     out["change_faster_pairs"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    return out
+
+
+def trace_check(trees: dict, workload: str) -> dict:
+    """TRACE_RUNS alternating `--trace 1` runs per tree: each TRACE_METRICS value as median and range."""
+    traced = {side: [] for side in trees}
+    for i in range(TRACE_RUNS):
+        for side in ORDER[i % 2]:
+            traced[side].append(run(trees[side], workload, 1))
+    out = {}
+    for side, runs in traced.items():
+        out[side] = {"runs": len(runs), "correct_runs": sum(bool(r.get("correct")) for r in runs)}
+        for name in TRACE_METRICS:
+            values = [r["metrics"][name]["value"] for r in runs if name in r.get("metrics", {})]
+            if values:
+                out[side][name] = {"median": statistics.median(values), "range": [min(values), max(values)]}
     return out
 
 
@@ -141,20 +159,14 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         pairs = []
         for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"workload": workload, "seed": 1, "pair": i + 1, "first": order[0]}
-            for side in order:
+            pair = {"workload": workload, "seed": 1, "pair": i + 1, "first": ORDER[i % 2][0]}
+            for side in ORDER[i % 2]:
                 pair[side] = run(trees[side], workload, 0)
                 print(workload, i + 1, side, pair[side].get("metrics", {}).get("instances_per_s"), flush=True)
             pairs.append(pair)
         record["pairs"] += pairs
         record["summary"][workload] = summarize(pairs)
-        record["trace"][workload] = {}
-        for side in ("parent", "change"):
-            traced = run(trees[side], workload, 1)
-            metrics = traced.get("metrics", {})
-            record["trace"][workload][side] = {"correct": traced.get("correct"), **{
-                name: metrics[name]["value"] for name in TRACE_METRICS if name in metrics}}
+        record["trace"][workload] = trace_check(trees, workload)
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
