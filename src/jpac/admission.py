@@ -162,18 +162,20 @@ def _bordered_scan(problem: NormalizedProblem, current: list[int], pending: list
     empty, p alone passes iff b_p does.
     """
     A, b, P = problem.A, problem.b, np.asarray(pending)
+    b_P = b.take(P)
     if not current:
-        return _in_box(b[P][:, None])
+        return _in_box(b_P[:, None])
     C = np.asarray(current)
+    A_C = A.take(C, axis=0)
     try:
-        sol = lu_solve(A[np.ix_(C, C)], np.column_stack([b[C], A[np.ix_(C, P)]]))
+        sol = lu_solve(A_C.take(C, axis=1), np.column_stack([b.take(C), A_C.take(P, axis=1)]))
     except np.linalg.LinAlgError:
         return np.zeros(P.size, dtype=bool)     # A_CC singular: no superset of C is admissible
     x_c, Y = sol[:, 0], sol[:, 1:].T            # Y[i] = A_CC^{-1} a_{C, pending[i]}
-    A_PC = A[np.ix_(P, C)]
+    A_PC = A.take(P, axis=0).take(C, axis=1)
     s = 1.0 - np.sum(A_PC * Y, axis=1)
     positive = s > 0.0
-    x_p = (b[P] - A_PC @ x_c) / np.where(positive, s, 1.0)
+    x_p = (b_P - A_PC @ x_c) / np.where(positive, s, 1.0)
     # Row i: x_C' and x_p of current + [pending[i]].
     return positive & _in_box(np.column_stack([x_c - Y * x_p[:, None], x_p]))
 

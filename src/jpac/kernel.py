@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -69,8 +68,6 @@ ITER_CAP_ABS = 100_000  # no start takes more steps, whatever iter_cap's formula
 SUPPORT_TOL = 1e-6  # a link is supported when [b - A x]_k <= SUPPORT_TOL
 INIT_MARGIN = 1e-3  # random starts draw xi from [margin, 1 - margin]
 _W_FLOOR = 1e-280  # retire a start once a component nears the float64 range
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,9 @@ def interior_point_random(problem: AugmentedProblem, xi: np.ndarray) -> np.ndarr
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1:] != (problem.K,) or xi.ndim > 2:
         raise ValueError(f"xi must have shape ({problem.K},) or (n, {problem.K})")
-    if np.any(xi < INIT_MARGIN) or np.any(xi > 1.0 - INIT_MARGIN):
-        raise ValueError("xi must lie in [INIT_MARGIN, 1 - INIT_MARGIN]")
+    # A NaN makes min or max NaN, which fails both comparisons.
+    if xi.size and not (INIT_MARGIN <= xi.min() and xi.max() <= 1.0 - INIT_MARGIN):
+        raise ValueError("xi must be finite and lie in [INIT_MARGIN, 1 - INIT_MARGIN]")
     w1 = xi * np.minimum(problem.b, 1.0)
     # One matrix-vector product per row: a matrix-matrix product rounds differently.
     return np.concatenate([w1, problem.b - (problem.A @ w1[..., None])[..., 0], 1.0 - w1], axis=-1)
@@ -202,9 +200,8 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
 
     While any system hits an exactly zero LU pivot (possible once the
     condition number nears 1 / eps), every system gets a ridge of trace / m *
-    1e-12 and is solved again, at most 3 times.  Each retry is logged at
-    DEBUG.  Returns the solutions and the number of ridge retries (0 when the
-    systems solve as given).
+    1e-12 and is solved again, at most 3 times.  Returns the solutions and
+    the number of ridge retries (0 when the systems solve as given).
     """
     for attempt in range(4):
         try:
@@ -214,37 +211,36 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
                 raise
             m = normal.shape[-1]
             ridge = np.trace(normal, axis1=-2, axis2=-1) / m * 1e-12
-            logger.debug("normal solve failed on a batch of %d %dx%d systems; ridge retry %d of 3, "
-                         "ridge up to %.3g", ridge.size, m, m, attempt + 1, float(ridge.max()))
             normal = normal + ridge[..., None, None] * np.eye(m)
 
 
 def _projected_direction(W: np.ndarray, f: np.ndarray, problem: AugmentedProblem, rho: float):
-    """Multipliers, reduced gradient, direction g, ||g|| and ridge retries per row of W.
+    """lambda_1, lambda_2, reduced gradient, direction g, ||g|| and ridge retries per row of W.
 
     f holds the objective of each row.  g = e - (rho / f) W (grad f - A~^T
     lambda) is the projection of the scaled potential gradient onto the null
-    space of A~ W, so A~ W g = 0; lambda comes from the K x K Schur system of
-    the module docstring.  The blocks w1, w2, w3 are handled apart: the
-    gradient is (c~; q w2^(q-1); 0).
+    space of A~ W, so A~ W g = 0; lambda = (lambda_1; lambda_2) comes from
+    the K x K Schur system of the module docstring.  The blocks w1, w2, w3
+    are handled apart, as views of one pass over W: the gradient is (c~; q
+    w2^(q-1); 0).
     """
     k = problem.K
     A = problem.A
-    w1, w2, w3 = W[:, :k], W[:, k : 2 * k], W[:, 2 * k :]
-    s = (f / rho)[:, None]
-    d1, d2, d3 = w1 * w1, w2 * w2, w3 * w3
-    v1 = d1 * problem.c_tilde - w1 * s                   # blocks of W (W grad f - f / rho)
-    r2 = v1 - w3 * s
+    D = W * W
+    WS = W * (f / rho)[:, None]
+    d1, d2, d3 = D[:, :k], D[:, k : 2 * k], D[:, 2 * k :]
+    v1 = d1 * problem.c_tilde - WS[:, :k]                # blocks of W (W grad f - f / rho)
+    r2 = v1 - WS[:, 2 * k :]
     d13 = d1 + d3
     S = (A * (d1 * d3 / d13)[:, None, :]) @ A.T          # A Diag(d1 d3 / (d1 + d3)) A^T
     S.reshape(-1, k * k)[:, :: k + 1] += d2              # + D2, through a strided view of each diagonal
     # v2 = d2 o grad2 - w2 o s.  At q = 1, grad2 = q w2^0 is exactly 1 and
     # d2 o 1 is exactly d2, so both are left out.
     if problem.q == 1.0:
-        grad2, v2 = 1.0, d2 - w2 * s
+        grad2, v2 = 1.0, d2 - WS[:, k : 2 * k]
     else:
-        grad2 = problem.q * w2 ** (problem.q - 1.0)
-        v2 = d2 * grad2 - w2 * s
+        grad2 = problem.q * W[:, k : 2 * k] ** (problem.q - 1.0)
+        v2 = d2 * grad2 - WS[:, k : 2 * k]
     # r1 - A (d1 / (d1 + d3) o r2) with r1 = A v1 + v2
     # Products with A go one row at a time (stacked matmul), so a row's
     # arithmetic is the same in a batch of any size.
@@ -252,11 +248,18 @@ def _projected_direction(W: np.ndarray, f: np.ndarray, problem: AugmentedProblem
     lam1, retries = _solve_normal(S, rhs)
     lam1_a = (lam1[:, None, :] @ A)[:, 0, :]
     lam2 = (r2 - d1 * lam1_a) / d13
-    # grad f - A~^T lambda
-    resid = np.concatenate([problem.c_tilde - (lam1_a + lam2), grad2 - lam1, -lam2], axis=1)
-    g = 1.0 - (rho / f)[:, None] * W * resid
+    # grad f - A~^T lambda, block by block into one array
+    resid = np.empty_like(W)
+    r1 = np.add(lam1_a, lam2, out=resid[:, :k])
+    np.subtract(problem.c_tilde, r1, out=r1)
+    np.subtract(grad2, lam1, out=resid[:, k : 2 * k])
+    np.negative(lam2, out=resid[:, 2 * k :])
+    # g = 1 - (rho / f) W resid; the products commute exactly.
+    g = W * (rho / f)[:, None]
+    g *= resid
+    np.subtract(1.0, g, out=g)
     norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
-    return np.concatenate([lam1, lam2], axis=1), resid, g, norm_g, retries
+    return lam1, lam2, resid, g, norm_g, retries
 
 
 # A step length, a candidate and its log may overflow, divide by zero or be
@@ -283,9 +286,12 @@ def _line_search(
     g_min = g.min(axis=1)
     t = np.empty((n, 1 + LINE_SEARCH_FRACTIONS.size))
     t[:, 0] = STEP_BETA / norm_g
-    # t_max = min over g_n < 0 of -1 / g_n
-    t[:, 1:] = np.where(g_min < 0.0, -1.0 / g_min, np.inf)[:, None] * LINE_SEARCH_FRACTIONS
-    cand = W[:, None, :] * (1.0 + t[:, :, None] * g[:, None, :])   # (N, C, 3K)
+    # t_max = min over g_n < 0 of -1 / g_n: -1 / -0.0 = inf once g >= 0
+    t[:, 1:] = (-1.0 / np.minimum(g_min, -0.0))[:, None] * LINE_SEARCH_FRACTIONS
+    # W o (1 + t g) in place, (N, C, 3K); the products commute exactly.
+    cand = t[:, :, None] * g[:, None, :]
+    cand += 1.0
+    cand *= W[:, None, :]
     log_cand = np.log(cand)
     w2q = cand[..., k : 2 * k] if problem.q == 1.0 else np.exp(problem.q * log_cand[..., k : 2 * k])
     f = cand[..., :k] @ problem.c_tilde + w2q.sum(axis=-1)
@@ -294,7 +300,7 @@ def _line_search(
     rows = np.arange(n)
     best = phi.argmin(axis=1)
     phi = phi[rows, best]
-    if np.isinf(phi).any():
+    if phi.max() == np.inf:
         raise RuntimeError("no step candidate keeps the iterate strictly positive")
     return cand[rows, best], f[rows, best], phi
 
@@ -352,13 +358,14 @@ def _solve_batch(
 
     def retire(row, termination):
         w = W[row].copy()
+        lam = np.concatenate([lam1[row], lam2[row]])
         results[start[row]] = (w, _certificate(
-            problem, config, w, lam[row], resid[row], f[row], termination, it, retries))
+            problem, config, w, lam, resid[row], f[row], termination, it, retries))
 
     trace = open(config.trace_path, "a") if config.trace_path is not None else contextlib.nullcontext()
     with trace as trace_file:
         for it in range(cap + 1):
-            lam, resid, g, norm_g, step_retries = _projected_direction(W, f, problem, rho)
+            lam1, lam2, resid, g, norm_g, step_retries = _projected_direction(W, f, problem, rho)
             retries += step_retries
 
             if trace_file is not None:
@@ -370,15 +377,16 @@ def _solve_batch(
                     trace_file.write(json.dumps(rec) + "\n")
 
             kkt = np.abs(g).max(axis=1) <= 1.0
-            keep = ~((phi <= threshold) | kkt) & (it < cap)
-            if not keep.all():
+            stop = kkt | (phi <= threshold)
+            if stop.any() or it >= cap:
+                keep = ~stop & (it < cap)
                 for row in np.flatnonzero(~keep):
                     retire(row, EPS_OPTIMAL if phi[row] <= threshold
                            else EPS_KKT if kkt[row] else ITERATION_CAP)
                 if not keep.any():
                     break
-                start, W, f, phi, lam, resid, g, norm_g = (
-                    a[keep] for a in (start, W, f, phi, lam, resid, g, norm_g))
+                start, W, f, phi, lam1, lam2, resid, g, norm_g = (
+                    a[keep] for a in (start, W, f, phi, lam1, lam2, resid, g, norm_g))
 
             W_new, f_new, phi_new = _line_search(W, g, norm_g, problem, rho)
             # For very small q the eps-KKT slack target can underflow float64;
@@ -402,8 +410,11 @@ def solve_potential_reduction(
 ) -> tuple[np.ndarray, KktCertificate]:
     """Iterate to an eps-optimal or eps-KKT point (or hit the iteration cap)."""
     w_init = np.asarray(w_init, dtype=float)
-    if np.any(w_init <= 0):
-        raise ValueError("w_init must be strictly positive")
+    if w_init.shape != (3 * problem.K,):
+        raise ValueError(f"w_init must have shape ({3 * problem.K},), got {w_init.shape}")
+    # A NaN makes the minimum NaN, which fails the comparison.
+    if not (w_init.min() > 0.0 and w_init.max() < np.inf):
+        raise ValueError("w_init must be finite and strictly positive")
     return _solve_batch(problem, config, w_init[None, :])[0]
 
 
@@ -448,10 +459,13 @@ def multistart_solve(
     """
     check_starts(n_starts, seed)
     k = problem.K
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     # Row 0 is the default start.  One draw fills the random rows with the
-    # numbers that n_starts - 1 draws of size k would give, in the same order.
-    xi = np.vstack([np.full(k, 0.5), rng.uniform(INIT_MARGIN, 1.0 - INIT_MARGIN, size=(n_starts - 1, k))])
+    # numbers that n_starts - 1 draws of size k would give, in the same order;
+    # a single start draws nothing, so it builds no generator.
+    xi = np.full((n_starts, k), 0.5)
+    if n_starts > 1:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        xi[1:] = rng.uniform(INIT_MARGIN, 1.0 - INIT_MARGIN, size=(n_starts - 1, k))
     results = _solve_batch(problem, config, interior_point_random(problem, xi))
 
     best = None

@@ -296,5 +296,5 @@ def restrict(normalized: NormalizedProblem, S) -> NormalizedProblem:
     NormalizedProblem.__post_init__ are not run again.
     """
     idx = index_set(S, normalized.K)
-    return _derived(normalized.A[np.ix_(idx, idx)], normalized.b[idx], normalized.budgets[idx],
-                    normalized.alpha)
+    return _derived(normalized.A.take(idx, axis=0).take(idx, axis=1), normalized.b.take(idx),
+                    normalized.budgets.take(idx), normalized.alpha)

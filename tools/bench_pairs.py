@@ -15,7 +15,10 @@ quartiles, ranges and the count of pairs the change wins ("summary"),
 30 alternating pairs of fresh-interpreter `import numpy, jpac` times
 ("import_check"), and TRACE_RUNS alternating seed-1 `--trace 1` runs per
 tree and workload ("trace": the median and range of each per-layer metric
-named in TRACE_METRICS; one traced run is too noisy to show a change).
+named in TRACE_METRICS; one traced run is too noisy to show a change).  A
+timing metric whose parent and change ranges overlap is marked "resolved":
+false, since identical code reads up to about 20% apart between traced runs;
+the counts are exact.
 
 Every subprocess has a timeout.  A perfbench run that passes RUN_TIMEOUT_S
 is killed and recorded as a failed run with "exit": "timeout"; an import
@@ -44,6 +47,7 @@ TRACE_RUNS = 5
 SECONDS = 35
 TRACE_METRICS = ("admission.run_s", "network.restrict_s", "admission.admissible_calls", "kernel.iterations",
                  "kernel.ms_per_step", "oracle.enumerate_s")
+TRACE_COUNTS = ("admission.admissible_calls", "kernel.iterations")   # the rest are timings
 THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 IMPORT = "import time; t = time.perf_counter(); import numpy, jpac; print(time.perf_counter() - t)"
 RUN_TIMEOUT_S = 10 * SECONDS    # a healthy run takes SECONDS plus one pool pass
@@ -118,7 +122,11 @@ def import_check(trees: dict, pairs: int) -> dict:
 
 
 def trace_check(trees: dict, workload: str) -> dict:
-    """TRACE_RUNS alternating `--trace 1` runs per tree: each TRACE_METRICS value as median and range."""
+    """TRACE_RUNS alternating `--trace 1` runs per tree: each TRACE_METRICS value as median and range.
+
+    Each timing metric also gets "resolved": whether the two sides' ranges
+    are disjoint.
+    """
     traced = {side: [] for side in trees}
     for i in range(TRACE_RUNS):
         for side in ORDER[i % 2]:
@@ -130,6 +138,13 @@ def trace_check(trees: dict, workload: str) -> dict:
             values = [r["metrics"][name]["value"] for r in runs if name in r.get("metrics", {})]
             if values:
                 out[side][name] = {"median": statistics.median(values), "range": [min(values), max(values)]}
+    for name in TRACE_METRICS:
+        if name in TRACE_COUNTS or not all(name in out[side] for side in trees):
+            continue
+        (lo_a, hi_a), (lo_b, hi_b) = (out[side][name]["range"] for side in trees)
+        resolved = hi_a < lo_b or hi_b < lo_a
+        for side in trees:
+            out[side][name]["resolved"] = resolved
     return out
 
 
