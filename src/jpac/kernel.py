@@ -250,8 +250,8 @@ def _projected_direction(W: np.ndarray, f: np.ndarray, problem: AugmentedProblem
     lam2 = (r2 - d1 * lam1_a) / d13
     # grad f - A~^T lambda, block by block into one array
     resid = np.empty_like(W)
-    r1 = np.add(lam1_a, lam2, out=resid[:, :k])
-    np.subtract(problem.c_tilde, r1, out=r1)
+    resid1 = np.add(lam1_a, lam2, out=resid[:, :k])
+    np.subtract(problem.c_tilde, resid1, out=resid1)
     np.subtract(grad2, lam1, out=resid[:, k : 2 * k])
     np.negative(lam2, out=resid[:, 2 * k :])
     # g = 1 - (rho / f) W resid; the products commute exactly.
