@@ -271,7 +271,7 @@ def _deflate(
 
 
 def run_nlpd(problem: NormalizedProblem, config: kernel.SolverConfig | None = None) -> AdmissionResult:
-    """Deflation with the convex q = 1 power control from the default start."""
+    """Deflation with q = 1 power control from the default start; returns an exactly admissible set."""
     config = config or kernel.SolverConfig()
     return _deflate(problem, config, q=1.0, n_starts=1, seed=0)
 
@@ -286,7 +286,7 @@ def run_lqmd(
     """Deflation with the non-convex lq power control from n_starts starts.
 
     alpha is recomputed by select_alpha on every deflation round's
-    restricted problem.
+    restricted problem.  The admitted set is exactly admissible, as in run_nlpd.
     """
     if not (is_real(q) and 0.0 < q < 1.0):
         raise ValueError(f"q must be a number in (0, 1), got {q!r}")

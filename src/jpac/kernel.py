@@ -146,7 +146,10 @@ class SolverConfig:
     def rho(self, K: int, q: float) -> float:
         # rho >= 6K/eps certifies the eps-KKT gap; rho > K/q is needed by
         # the eps-optimality threshold.
-        return max(6.0 * K / self.epsilon, 2.0 * K / q)
+        rho = max(6.0 * K / self.epsilon, 2.0 * K / q)
+        if rho == math.inf:
+            raise ValueError(f"rho = max(6K/epsilon, 2K/q) overflows at epsilon = {self.epsilon!r}, K = {K}")
+        return rho
 
     def iter_cap(self, K: int, q: float) -> int:
         cap = ITER_CAP_FACTOR * (K / min(self.epsilon, q)) * math.log(1.0 / self.epsilon)
@@ -189,10 +192,6 @@ def interior_point_random(problem: AugmentedProblem, xi: np.ndarray) -> np.ndarr
 def _batch_objective(W: np.ndarray, problem: AugmentedProblem) -> np.ndarray:
     k = problem.K
     return W[..., :k] @ problem.c_tilde + np.sum(W[..., k : 2 * k] ** problem.q, axis=-1)
-
-
-def _batch_potential(W: np.ndarray, problem: AugmentedProblem, rho: float) -> np.ndarray:
-    return rho * np.log(_batch_objective(W, problem)) - np.sum(np.log(W), axis=-1)
 
 
 def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -352,7 +351,7 @@ def _solve_batch(
     start = np.arange(n_starts)
     W = W0.copy()
     f = _batch_objective(W, problem)
-    phi = _batch_potential(W, problem, rho)
+    phi = rho * np.log(f) - np.sum(np.log(W), axis=-1)
     retries = 0
     results = [None] * n_starts
 
@@ -429,6 +428,10 @@ def round_to_power(
     return x, support
 
 
+class NoCleanStartError(RuntimeError):
+    """Every start of a multistart solve hit the iteration cap or underflowed."""
+
+
 @dataclass
 class MultistartResult:
     x: np.ndarray
@@ -454,8 +457,8 @@ def multistart_solve(
     Each rounded solution is scored by the thresholded l0 objective
     #{k: [b - A x]_k > SUPPORT_TOL} + alpha pbar^T x; ties break by the lower
     power term and then the lower start index.  Starts that hit the
-    iteration cap or underflow are skipped (at least one start must
-    terminate cleanly).
+    iteration cap or underflow are skipped; NoCleanStartError is raised
+    when no start terminates cleanly.
     """
     check_starts(n_starts, seed)
     k = problem.K
@@ -481,7 +484,7 @@ def multistart_solve(
             best_key = key
             best = (x, support, idx)
     if best is None:
-        raise RuntimeError("every start hit the iteration cap or underflowed")
+        raise NoCleanStartError("every start hit the iteration cap or underflowed")
     x, support, idx = best
     return MultistartResult(
         x=x,

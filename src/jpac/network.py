@@ -198,13 +198,8 @@ class NormalizedProblem:
             raise ValueError("b must be strictly positive")
         if np.any(self.budgets <= 0):
             raise ValueError("budgets must be strictly positive")
-        alpha1 = self.alpha1
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", ALPHA_FRACTION * alpha1)
-        elif not is_real(self.alpha):
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        if not (0.0 < self.alpha < alpha1):
-            raise ValueError(f"alpha must lie in (0, {alpha1}), got {self.alpha}")
+        alpha = ALPHA_FRACTION * self.alpha1 if self.alpha is None else self.alpha
+        object.__setattr__(self, "alpha", _checked_alpha(alpha, self.alpha1))
 
     @property
     def K(self) -> int:
@@ -216,18 +211,17 @@ class NormalizedProblem:
         return 1.0 / float(np.sum(self.budgets))
 
     def with_alpha(self, alpha: float) -> "NormalizedProblem":
-        """This problem with weight alpha, which must lie in (0, alpha1).
+        """This problem with weight alpha; only alpha is checked, as A, b and pbar already were."""
+        return _derived(self.A, self.b, self.budgets, _checked_alpha(alpha, self.alpha1))
 
-        Only alpha is checked: A, b and pbar are this problem's own arrays,
-        already validated when it was built.
-        """
-        if not is_real(alpha):
-            raise ValueError(f"alpha must be a number, got {alpha!r}")
-        alpha = float(alpha)
-        alpha1 = self.alpha1
-        if not (0.0 < alpha < alpha1):
-            raise ValueError(f"alpha must lie in (0, {alpha1}), got {alpha}")
-        return _derived(self.A, self.b, self.budgets, alpha)
+
+def _checked_alpha(alpha, alpha1: float) -> float:
+    """The one alpha check: alpha as a float if it is a real number in (0, alpha1), else ValueError."""
+    if not is_real(alpha):
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
+    if not (0.0 < alpha < alpha1):
+        raise ValueError(f"alpha must lie in (0, {alpha1}), got {alpha}")
+    return float(alpha)
 
 
 def _derived(A: np.ndarray, b: np.ndarray, budgets: np.ndarray, alpha: float) -> NormalizedProblem:

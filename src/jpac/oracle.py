@@ -94,8 +94,8 @@ def estimate_qbar(
     """Largest QBAR_GRID exponent whose multistart solution matches the enumeration.
 
     Walks the grid from the largest q down; a match requires equal support
-    sets and an infinity-norm power gap of at most 1e-3.  Returns (0.0,
-    "failure") when the grid is exhausted.
+    sets and max_k |x_k - x*_k| <= 1e-3 (approx-compare's `match` compares
+    total power instead).  Returns (0.0, "failure") when the grid is exhausted.
     """
     # Checked here too: the enumeration below costs 2^K - 1 solves before
     # multistart_solve would reject n_starts or seed.
@@ -110,8 +110,8 @@ def estimate_qbar(
         aug = kernel.augment(work, q=q)
         try:
             res = kernel.multistart_solve(aug, config, n_starts, seed)
-        except RuntimeError:
-            # Every start hit the cap (possible at very small q); no match.
+        except kernel.NoCleanStartError:
+            # Every start hit the cap or underflowed (possible at very small q); no match.
             continue
         if set(res.support) == exact_support and np.max(np.abs(res.x - exact.best_x)) <= 1e-3:
             return q, "success"

@@ -10,6 +10,8 @@ formulation that a jpac primitive replaced:
   admission._necessary, which preprocess runs;
 - a_tilde / b_tilde: the slack form A~ and b~ that the kernel works on as
   blocks;
+- potential: phi = rho log f - sum log w, which the kernel's solve works
+  out from the objective it already holds;
 - spectral_radius, admissible, postprocess, preprocess: the dense
   eigensolve, the identity-column admissibility solve, the sequential
   re-admission loop and the re-slicing preprocess loop.
@@ -20,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from jpac.admission import _necessary
-from jpac.kernel import AugmentedProblem
+from jpac.kernel import AugmentedProblem, _batch_objective
 from jpac.network import NormalizedProblem
 
 LP_GUARD = 8
@@ -90,6 +92,11 @@ def a_tilde(aug: AugmentedProblem) -> np.ndarray:
 def b_tilde(aug: AugmentedProblem) -> np.ndarray:
     """b~ = (b; e), of length 2K."""
     return np.concatenate([aug.b, np.ones(aug.K)])
+
+
+def potential(W: np.ndarray, aug: AugmentedProblem, rho: float) -> np.ndarray:
+    """phi(w) = rho log f(w) - sum_n log w_n for each row w of W."""
+    return rho * np.log(_batch_objective(W, aug)) - np.sum(np.log(W), axis=-1)
 
 
 def spectral_radius(M) -> float:

@@ -1,12 +1,15 @@
 """Acceptance gate: one test per release criterion, one printed verdict each.
 
 Criteria 5-8 and 10 are statistical; their bounds are wide enough that a
-failure indicates a systematic defect, not sampling noise.
+failure indicates a systematic defect, not sampling noise.  Their experiment
+configs are the files tests/criteria/criterion_NN.json, read as `jpac
+experiment --config` reads them.
 """
 
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ import conftest
 from conftest import X3_STAR, diag_problem, random_problem
 from reference import foschini_miljanic, lp_exact
 
+CRITERIA = Path(__file__).resolve().parent / "criteria"
+
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
@@ -26,6 +31,10 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     conftest.ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+def _criterion_config(num: int) -> ExperimentConfig:
+    return ExperimentConfig.from_json((CRITERIA / f"criterion_{num:02d}.json").read_text())
 
 
 def _summary_value(summary, metric, **keys):
@@ -148,8 +157,7 @@ def test_criterion_04_certificate_soundness(corpus):
 
 def test_criterion_05_benchmark_comparison_k5():
     t0 = time.perf_counter()
-    config = ExperimentConfig(experiment="approx-compare", K_list=[5], runs=100,
-                              q_list=[0.1], n_starts=100, seed=0)
+    config = _criterion_config(5)
     _, summary = run_experiment(config)
     elapsed = time.perf_counter() - t0
     bench = _summary_value(summary, "mean_supported", algorithm="benchmark")
@@ -162,8 +170,7 @@ def test_criterion_05_benchmark_comparison_k5():
 
 
 def test_criterion_06_lq_vs_l1_separation_k10():
-    config = ExperimentConfig(experiment="approx-compare", K_list=[10], runs=100,
-                              q_list=[0.1], n_starts=100, seed=0)
+    config = _criterion_config(6)
     _, summary = run_experiment(config)
     lq = _summary_value(summary, "mean_supported", algorithm="lq0.1")
     l1 = _summary_value(summary, "mean_supported", algorithm="l1")
@@ -173,8 +180,7 @@ def test_criterion_06_lq_vs_l1_separation_k10():
 
 
 def test_criterion_07_deflation_comparison_k20():
-    config = ExperimentConfig(experiment="deflate-compare", K_list=[20], runs=100,
-                              q_list=[0.5], n_starts=5, seed=0)
+    config = _criterion_config(7)
     _, summary = run_experiment(config)
     lq = _summary_value(summary, "mean_supported", algorithm="lqmd")
     nl = _summary_value(summary, "mean_supported", algorithm="nlpd")
@@ -187,8 +193,7 @@ def test_criterion_07_deflation_comparison_k20():
 
 
 def test_criterion_08_scaling_ratios():
-    config = ExperimentConfig(experiment="scaling-ratio", K_list=[5, 10], runs=50,
-                              q_list=[0.5], n_starts=5, seed=0)
+    config = _criterion_config(8)
     _, summary = run_experiment(config)
     details = []
     ok = True
@@ -229,8 +234,7 @@ def test_criterion_09_oracle_cross_validation():
 
 
 def test_criterion_10_recovery_exponent_statistics():
-    config = ExperimentConfig(experiment="recover-qbar", K_list=[5], runs=20,
-                              n_starts=100, epsilon=1e-4, seed=0)
+    config = _criterion_config(10)
     rows, summary = run_experiment(config)
     success = _summary_value(summary, "match_rate", algorithm="lq-recovery")
     mean_q = _summary_value(summary, "mean_qbar", algorithm="lq-recovery")

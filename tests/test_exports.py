@@ -17,6 +17,7 @@ def test_modules_load_and_test_references_stay_out():
     assert not hasattr(jpac.admission, "necessary_condition")
     assert not hasattr(kernel.AugmentedProblem, "A_tilde")
     assert not hasattr(kernel.AugmentedProblem, "b_tilde")
+    assert not hasattr(kernel, "_batch_potential")
     # The exact admissibility test is admission.admissible alone.
     assert not hasattr(network, "m_matrix_solve")
     assert not hasattr(jpac.admission, "_admissible_rows")

@@ -151,6 +151,12 @@ class TestRunExperiment:
             ExperimentConfig(experiment="deflate-compare", K_list=[4, 4], runs=2)
         with pytest.raises(ValueError, match="q_list must not repeat"):
             ExperimentConfig(experiment="approx-compare", q_list=[0.5, 0.5])
+        # run_lqmd needs q < 1; unchecked, every LQMD row records its error.
+        for experiment in ("deflate-compare", "q-sensitivity", "scaling-ratio"):
+            with pytest.raises(ValueError, match="q_list must not hold 1"):
+                ExperimentConfig(experiment=experiment, q_list=[1.0])
+        ExperimentConfig(experiment="q-sensitivity", q_list=[0.5, 0.99])
+        ExperimentConfig(experiment="approx-compare", q_list=[0.5, 1.0])
 
 
 class TestCli:
@@ -285,6 +291,8 @@ class TestCli:
         _cli_case(_config("deflate-compare", seed=-1), "seed", "seed--1"),
         _cli_case(_config("deflate-compare", q_list=[0.3, 0.7]), "q_list", "deflate-compare-q_list"),
         _cli_case(_config("scaling-ratio", q_list=[0.3, 0.7]), "q_list", "scaling-ratio-q_list"),
+        # q = 1, which run_lqmd rejects in every row of these experiments.
+        _cli_case(_config("q-sensitivity", q_list=[0.5, 1.0]), "q_list", "q-sensitivity-q_list-1"),
         # An epsilon outside (0, 1), which SolverConfig would reject per run.
         _cli_case(_config("deflate-compare", epsilon=2), "epsilon", "epsilon-2"),
         _cli_case(_config("deflate-compare", epsilon=float("nan")), "epsilon", "epsilon-nan"),

@@ -11,7 +11,7 @@ from jpac import kernel
 from jpac.network import NormalizedProblem
 
 from conftest import ALPHA3, X3_STAR, fail_first_schur_solve, random_problem
-from reference import a_tilde, b_tilde
+from reference import a_tilde, b_tilde, potential
 
 
 def _grad_f(W, aug):
@@ -112,7 +112,7 @@ class TestObjectiveGradient:
 class TestPotential:
     def test_unit_point_zero(self):
         aug = kernel.AugmentedProblem(A=np.ones((1, 1)), b=np.ones(1), c_tilde=np.zeros(1), q=1.0)
-        assert kernel._batch_potential(np.ones((1, 3)), aug, rho=37.0)[0] == 0.0
+        assert potential(np.ones((1, 3)), aug, rho=37.0)[0] == 0.0
 
     def test_matches_duplicate_formula(self, aug3):
         rng = np.random.default_rng(8)
@@ -121,7 +121,17 @@ class TestPotential:
             rho = rng.uniform(10.0, 1e5)
             f = float(aug3.c_tilde @ w[:3] + np.sum(w[3:6] ** 0.5))
             expected = rho * math.log(f) - float(np.sum(np.log(w)))
-            assert kernel._batch_potential(w[None, :], aug3, rho)[0] == pytest.approx(expected, rel=1e-12)
+            assert potential(w[None, :], aug3, rho)[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_first_traced_potential_is_the_starts(self, aug3, tmp_path):
+        # The solve works the first phi out from the objective it already holds.
+        path = tmp_path / "trace.jsonl"
+        config = kernel.SolverConfig(trace_path=str(path))
+        w = kernel.interior_point_default(aug3)
+        kernel.solve_potential_reduction(aug3, config, w)
+        first = json.loads(path.read_text().splitlines()[0])
+        assert first["iter"] == 0
+        assert first["phi"] == potential(w[None, :], aug3, config.rho(aug3.K, aug3.q))[0]
 
 
 class TestInteriorPoints:
@@ -211,12 +221,12 @@ class TestReductionStep:
         lam = np.linalg.solve(AW @ AW.T, AW @ (w * grad - f / rho))
         g = 1.0 - (rho / f) * w * (grad - a_tilde(aug3).T @ lam)
         w_beta = w * (1.0 + (kernel.STEP_BETA / np.linalg.norm(g)) * g)
-        phi_beta = kernel._batch_potential(w_beta[None, :], aug3, rho)[0]
+        phi_beta = potential(w_beta[None, :], aug3, rho)[0]
 
         monkeypatch.setattr(kernel, "ITER_CAP_ABS", 1)
         new, cert = kernel.solve_potential_reduction(aug3, kernel.SolverConfig(), w)
         assert cert.termination == kernel.ITERATION_CAP and cert.iterations == 1
-        assert kernel._batch_potential(new[None, :], aug3, rho)[0] <= phi_beta + 1e-12
+        assert potential(new[None, :], aug3, rho)[0] <= phi_beta + 1e-12
         assert np.all(new > 0.0)
         assert np.max(np.abs(a_tilde(aug3) @ new - b_tilde(aug3))) <= 1e-10
 
@@ -272,7 +282,7 @@ class TestLineSearch:
         candidates = W * (1.0 + fractions[:, None] * g)
         assert any(np.array_equal(w_new[0], c) for c in candidates)
         assert f_new == pytest.approx(kernel._batch_objective(w_new, aug), rel=1e-12)
-        assert phi_new == pytest.approx(kernel._batch_potential(w_new, aug, rho), rel=1e-12)
+        assert phi_new == pytest.approx(potential(w_new, aug, rho), rel=1e-12)
 
     def test_error_state_restored_after_each_call(self):
         # The rejected candidate of the test above takes the log of a
@@ -461,7 +471,7 @@ class TestLockstepBatch:
             last[rec["start"]] = rec["phi"]
         rho = config.rho(aug.K, aug.q)
         for idx, (w, _) in enumerate(results):
-            assert last[idx] == pytest.approx(kernel._batch_potential(w[None, :], aug, rho)[0], rel=1e-12)
+            assert last[idx] == pytest.approx(potential(w[None, :], aug, rho)[0], rel=1e-12)
 
     def test_carried_values_at_iteration_cap(self, monkeypatch):
         aug, starts = _batch_case(8, 0.1, 703, n_starts=3)
@@ -672,6 +682,12 @@ class TestConfig:
         config = kernel.SolverConfig(epsilon=1e-4)
         assert config.rho(5, 0.5) == pytest.approx(max(6 * 5 / 1e-4, 2 * 5 / 0.5))
         assert config.rho(5, 0.5) > 5 / 0.5
+
+    def test_rho_overflow_rejected(self):
+        # Unchecked, rho = 6K/epsilon = inf makes every step's potential NaN,
+        # and the solve fails in the line search instead.
+        with pytest.raises(ValueError, match="epsilon = 1e-320"):
+            kernel.SolverConfig(epsilon=1e-320).rho(4, 0.5)
 
     def test_iter_cap_shape(self, monkeypatch):
         assert kernel.SolverConfig(epsilon=1e-6).iter_cap(5, 0.5) == 100_000

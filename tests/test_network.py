@@ -263,6 +263,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="alpha must be a number"):
             NormalizedProblem(A=np.eye(3), b=np.full(3, 0.5), budgets=np.full(3, 0.1), alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [1, np.float32(0.5)], ids=["int", "float32"])
+    def test_alpha_stored_as_float(self, alpha):
+        # Both paths store the weight through one check, as a float.
+        prob = NormalizedProblem(A=np.eye(3), b=np.full(3, 0.5), budgets=np.full(3, 0.1), alpha=alpha)
+        assert type(prob.alpha) is float and prob.alpha == float(alpha)
+        assert type(prob.with_alpha(alpha).alpha) is float
+
     @pytest.mark.parametrize("alpha", [True, "0.1", None], ids=["bool", "str", "none"])
     def test_with_alpha_takes_a_number(self, alpha):
         # Unchecked, float() makes True and "0.1" weights in range, and None a TypeError.

@@ -168,6 +168,31 @@ class TestEstimateQbar:
         qbar, status = estimate_qbar(prob, n_starts=1, config=config)
         assert (qbar, status) == (0.9, "success")
 
+    def test_no_clean_start_is_no_match(self, three_link, monkeypatch):
+        # Every start underflows, so multistart_solve raises NoCleanStartError at each q.
+        monkeypatch.setattr(kernel, "_W_FLOOR", 0.1)
+        monkeypatch.setattr(oracle, "QBAR_GRID", (0.5, 0.9))
+        for q in oracle.QBAR_GRID:
+            with pytest.raises(kernel.NoCleanStartError):
+                kernel.multistart_solve(kernel.augment(three_link, q=q), kernel.SolverConfig(), 2, 0)
+        assert estimate_qbar(three_link, n_starts=2) == (0.0, "failure")
+
+    def test_other_solver_failure_propagates(self, three_link, monkeypatch):
+        # Unchecked, a line-search failure at every q reads as "no match".
+        def fail(*args):
+            raise RuntimeError("no step candidate keeps the iterate strictly positive")
+
+        monkeypatch.setattr(kernel, "_line_search", fail)
+        with pytest.raises(RuntimeError, match="no step candidate"):
+            estimate_qbar(three_link, n_starts=2)
+
+    def test_rho_overflow_raises_by_name(self):
+        # rho = 6K/epsilon overflows; unchecked, every q failed in the line
+        # search and the result was (0.0, "failure").
+        config = kernel.SolverConfig(epsilon=1e-320)
+        with pytest.raises(ValueError, match="epsilon"):
+            estimate_qbar(random_problem(4, 7), n_starts=2, config=config)
+
     def test_n_starts_checked_before_enumeration(self, three_link, monkeypatch):
         def never(problem):
             raise AssertionError("enumerate_l0 ran before n_starts was checked")
