@@ -21,7 +21,7 @@ import numpy as np
 from . import kernel
 from .admission import admissible, run_lqmd, run_nlpd
 from .network import is_int, is_real, normalize
-from .oracle import ENUMERATION_GUARD, enumerate_l0, estimate_qbar
+from .oracle import ENUMERATION_GUARD, enumerate_l0, estimate_qbar, matches_optimum
 from .scenario import ScenarioConfig, generate
 
 SUMMARY_FIELDS = ["experiment", "K", "q", "algorithm", "metric", "value"]
@@ -43,9 +43,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         # JSON gives any value any type; a wrong one must fail here, by name,
         # not as a TypeError deep inside a run.
-        for name in ("runs", "n_starts", "seed"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
+        if not (is_int(self.runs) and self.runs >= 0):
+            raise ValueError(f"runs must be a nonnegative integer, got {self.runs!r}")
+        kernel.check_starts(self.n_starts, self.seed)
         if not isinstance(self.K_list, list) or not all(map(is_int, self.K_list)):
             raise ValueError("K_list must be a list of integers")
         if not isinstance(self.q_list, list) or not all(map(is_real, self.q_list)):
@@ -55,10 +55,6 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values}")
-        if self.runs < 0:
-            raise ValueError("runs must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if not self.q_list:
             raise ValueError("q_list must not be empty")
         if self.experiment in ("deflate-compare", "scaling-ratio") and len(self.q_list) > 1:
@@ -67,8 +63,6 @@ class ExperimentConfig:
             raise ValueError("all q must lie in (0, 1]")
         if self.experiment in ("deflate-compare", "q-sensitivity", "scaling-ratio") and 1.0 in self.q_list:
             raise ValueError(f"{self.experiment} runs LQMD, which needs q < 1: q_list must not hold 1")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
         if any(K < 1 for K in self.K_list):
             raise ValueError("all K in K_list must be at least 1")
         # Unchecked, every cell would fail on the enumeration guard, approx-compare's after its solves.
@@ -89,6 +83,8 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        if doc["experiment"] == "recover-qbar" and "q_list" in doc:
+            raise ValueError("recover-qbar takes no q_list: estimate_qbar walks its own q grid")
         return cls(**doc)
 
 
@@ -120,18 +116,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _instance_seed(master: int, K: int, run: int) -> int:
-    return int(np.random.SeedSequence(entropy=[master, K, run]).generate_state(1)[0])
+def _seed(master: int, K: int, run: int, *stream: int) -> int:
+    # A cell's instance seed; stream (1,) keeps its solver stream apart from it.
+    return int(np.random.SeedSequence(entropy=[master, K, run, *stream]).generate_state(1)[0])
 
 
-def _solver_seed(master: int, K: int, run: int) -> int:
-    # The fourth entropy word keeps solver streams apart from instance streams.
-    return int(np.random.SeedSequence(entropy=[master, K, run, 1]).generate_state(1)[0])
+def _grid_key(K: int, q: float | None, algorithm: str) -> tuple:
+    """The order of rows and of summary groups: K, then q (none first), then algorithm."""
+    return (K, -1.0 if q is None else q, algorithm)
 
 
 def _make_problem(config: ExperimentConfig, K: int, run: int, **changes):
     """The normalized instance of one grid cell; changes are the cell's own ScenarioConfig fields."""
-    scen = ScenarioConfig(K=K, seed=_instance_seed(config.seed, K, run), **changes)
+    scen = ScenarioConfig(K=K, seed=_seed(config.seed, K, run), **changes)
     return normalize(generate(scen))
 
 
@@ -156,7 +153,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[MetricsRow], list[dic
     for K in config.K_list:
         for run in range(config.runs):
             rows.extend(cell(config, scfg, K, run))
-    rows.sort(key=lambda r: (r.K, r.q if r.q is not None else -1.0, r.algorithm, r.seed))
+    rows.sort(key=lambda r: (*_grid_key(r.K, r.q, r.algorithm), r.seed))
     summary = summarize(rows)
     return rows, summary
 
@@ -178,7 +175,7 @@ def _recover_qbar_cell(config, scfg, K, run) -> list[MetricsRow]:
         problem = _make_problem(config, K, run)
         row.qbar, status = estimate_qbar(
             problem, n_starts=config.n_starts, config=scfg,
-            seed=_solver_seed(config.seed, K, run),
+            seed=_seed(config.seed, K, run, 1),
         )
         row.match = status == "success"
 
@@ -200,15 +197,10 @@ def _approx_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
         # l1 is the q = 1 relaxation from the default start alone.
         def solve(row):
             aug = kernel.augment(problem, q=q)
-            res = kernel.multistart_solve(aug, scfg, n_starts, _solver_seed(config.seed, K, run))
+            res = kernel.multistart_solve(aug, scfg, n_starts, _seed(config.seed, K, run, 1))
             row.supported = _revalidated_support(problem, res.x, res.support)
             row.power_mw = float(problem.budgets @ res.x) * 1e3
-            bench_power = float(problem.budgets @ bench.best_x) * 1e3
-            # Equal support and total power within 1e-3 relative (estimate_qbar's match compares x).
-            row.match = (
-                set(res.support) == set(bench.best_support)
-                and abs(row.power_mw - bench_power) <= 1e-3 * max(bench_power, 1e-12)
-            )
+            row.match = matches_optimum(problem, bench, res.x, res.support)
         return solve
 
     rows = [_timed_row(config, K, None, "benchmark", run, benchmark)]
@@ -224,7 +216,7 @@ def _deflate_row(config, scfg, problem, K, q, run, algorithm) -> MetricsRow:
             run_nlpd(problem, scfg)
             if algorithm == "nlpd"
             else run_lqmd(problem, q=q, n_starts=config.n_starts, config=scfg,
-                          seed=_solver_seed(config.seed, K, run))
+                          seed=_seed(config.seed, K, run, 1))
         )
         row.supported = len(result.admitted)
         row.power_mw = result.total_power_mw
@@ -291,8 +283,7 @@ def summarize(rows: list[MetricsRow]) -> list[dict]:
     groups: dict[tuple, list[MetricsRow]] = {}
     for r in good:
         groups.setdefault((r.K, r.q, r.algorithm), []).append(r)
-    for (K, q, algorithm), grp in sorted(groups.items(), key=lambda kv: (
-            kv[0][0], kv[0][1] if kv[0][1] is not None else -1.0, kv[0][2])):
+    for (K, q, algorithm), grp in sorted(groups.items(), key=lambda kv: _grid_key(*kv[0])):
         for metric, name in _GROUP_MEANS:
             values = [getattr(r, name) for r in grp if getattr(r, name) is not None]
             if values:

@@ -1,6 +1,6 @@
 """Exact small-scale optimum by subset enumeration (2^K - 1 solves, guarded to
-desk-scale K), and the grid search for the recovery exponent that scores
-multistart solves against it.  The l1 LP oracle is in tests/reference.py.
+desk-scale K), the one rule for matching it, and the recovery-exponent grid
+search scored by that rule.  The l1 LP oracle is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -85,6 +85,15 @@ def enumerate_l0(problem: NormalizedProblem) -> EnumerationResult:
     )
 
 
+def matches_optimum(problem: NormalizedProblem, exact: EnumerationResult, x, support) -> bool:
+    """Whether an answer (x, support) matches the exact optimum: the same
+    support set, and total power within 1e-3 relative (in mW, 1e-12 floor)."""
+    power_mw = float(problem.budgets @ x) * 1e3
+    exact_mw = float(problem.budgets @ exact.best_x) * 1e3
+    return (set(support) == set(exact.best_support)
+            and abs(power_mw - exact_mw) <= 1e-3 * max(exact_mw, 1e-12))
+
+
 def estimate_qbar(
     problem: NormalizedProblem,
     n_starts: int = 100,
@@ -93,9 +102,8 @@ def estimate_qbar(
 ) -> tuple[float, str]:
     """Largest QBAR_GRID exponent whose multistart solution matches the enumeration.
 
-    Walks the grid from the largest q down; a match requires equal support
-    sets and max_k |x_k - x*_k| <= 1e-3 (approx-compare's `match` compares
-    total power instead).  Returns (0.0, "failure") when the grid is exhausted.
+    Walks the grid from the largest q down and stops at the first answer that
+    `matches_optimum`.  Returns (0.0, "failure") when the grid is exhausted.
     """
     # Checked here too: the enumeration below costs 2^K - 1 solves before
     # multistart_solve would reject n_starts or seed.
@@ -104,7 +112,6 @@ def estimate_qbar(
 
     work = problem.with_alpha(select_alpha(problem))
     exact = enumerate_l0(work)
-    exact_support = set(exact.best_support)
 
     for q in reversed(QBAR_GRID):
         aug = kernel.augment(work, q=q)
@@ -113,6 +120,6 @@ def estimate_qbar(
         except kernel.NoCleanStartError:
             # Every start hit the cap or underflowed (possible at very small q); no match.
             continue
-        if set(res.support) == exact_support and np.max(np.abs(res.x - exact.best_x)) <= 1e-3:
+        if matches_optimum(work, exact, res.x, res.support):
             return q, "success"
     return 0.0, "failure"

@@ -4,7 +4,8 @@ perfbench/run.py reaches into jpac by module attribute, and the suite does
 not collect perfbench/, so an API change could break the benchmark
 unnoticed.  This imports the script and runs its own bindings, output
 checks and trace completeness checks on pool instance 0 of seed 3, the
-seed of perfbench/test_run.py.
+seed of perfbench/test_run.py, and holds compare-k10's match verdicts to
+`oracle.matches_optimum`.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from jpac.oracle import matches_optimum
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -47,6 +50,24 @@ def test_workload_answers_pass_checks(bench, workload):
     inst = bench.make_instance(wl, 0, np.random.SeedSequence(3).spawn(wl.pool + 1)[0])
     answers = wl.check(inst, wl.solve(inst))
     assert set(answers) == set(wl.answers)
+
+
+def test_compare_match_is_the_oracle_rule(bench):
+    # check_compare states the match rule itself; it must agree with src's.
+    # Pool instances 0-2 of seed 3 hold both verdicts (lq matches on 2 only).
+    wl = bench.WORKLOADS["compare-k10"]
+    children = np.random.SeedSequence(3).spawn(wl.pool + 1)
+    verdicts = set()
+    for i in range(3):
+        inst = bench.make_instance(wl, i, children[i])
+        out = wl.solve(inst)
+        answers = wl.check(inst, out)
+        for name in ("lq", "l1"):
+            x, support, _ = out[name]
+            match = matches_optimum(out["problem"], out["exact"], x, support)
+            assert answers[name].match == match, (i, name)
+            verdicts.add(match)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("workload", ["deflate-dense", "deflate-sparse", "compare-k10"])

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,14 @@ class TestRunExperiment:
             assert r.error is None
             assert r.qbar is not None and 0.0 <= r.qbar <= 1.0
         assert any(r["metric"] == "mean_qbar" for r in summary)
+
+    def test_recover_qbar_match_is_the_power_rule(self):
+        # Criterion 10's config cut to 6 runs; each run keeps its instance seed.
+        # At q = 0.06 run 5's answer has the optimum's support and total power
+        # within 4e-4 relative, though one x entry is 1.2e-3 off: a match.
+        doc = json.loads((Path(__file__).parent / "criteria" / "criterion_10.json").read_text())
+        rows, _ = run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "runs": 6})))
+        assert [r.qbar for r in rows if r.seed == 5] == [0.06]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -279,6 +288,9 @@ class TestCli:
         _cli_case(_config("deflate-compare", K_list=[4.5]), "K_list", "K_list-float"),
         _cli_case(_config("deflate-compare", runs="1"), "runs", "runs-str"),
         _cli_case(_config("deflate-compare", q_list=["0.5"]), "q_list", "q_list-str"),
+        _cli_case(_config("deflate-compare", n_starts=2.5), "n_starts", "n_starts-float"),
+        _cli_case(_config("deflate-compare", n_starts=True), "n_starts", "n_starts-bool"),
+        _cli_case(_config("deflate-compare", seed=True), "seed", "seed-bool"),
         _cli_case({}, "experiment", "no-experiment"),
         _cli_case([], "object", "not-an-object"),
         # Scenario overrides that once ran with K or seed silently ignored, or
@@ -302,6 +314,8 @@ class TestCli:
         _cli_case(_config("deflate-compare"), "seed", "argv-seed--1", ["--seed", "-1"]),
         # The removed output_path field: --out says where the CSVs go.
         _cli_case(_config("deflate-compare", output_path="."), "output_path", "output_path"),
+        # recover-qbar walks estimate_qbar's own q grid, so a q_list would do nothing.
+        _cli_case(_config("recover-qbar", q_list=[0.3, 0.7]), "q_list", "recover-qbar-q_list"),
     ])
     def test_experiment_config_error_exit_code(self, tmp_path, capsys, doc, name, args):
         # Unchecked, an empty q_list would crash on q_list[0], a wrongly typed

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from jpac import kernel, oracle
 from jpac.admission import admissible
 from jpac.network import NormalizedProblem
-from jpac.oracle import ENUMERATION_GUARD, EnumerationResult, enumerate_l0, estimate_qbar
+from jpac.oracle import (ENUMERATION_GUARD, EnumerationResult, enumerate_l0, estimate_qbar,
+                         matches_optimum)
 
 from conftest import ALPHA3, X3_STAR, diag_problem, random_problem
 from reference import LP_GUARD, lp_exact
@@ -152,6 +153,21 @@ class TestLpExact:
     def test_guard(self):
         with pytest.raises(ValueError):
             lp_exact(diag_problem(LP_GUARD + 1, 0.5, 0.01))
+
+
+class TestMatchesOptimum:
+    # three_link has unit budgets, so total power in mW is 1e3 * sum(x).
+    def test_support_and_power_rule(self, three_link):
+        exact = EnumerationResult((0, 1), X3_STAR, 1.0, True)   # 1000 mW: 1 mW tolerance
+        assert not matches_optimum(three_link, exact, X3_STAR, (0, 2))
+        assert matches_optimum(three_link, exact, X3_STAR + [9e-4, 0.0, 0.0], (1, 0))
+        assert not matches_optimum(three_link, exact, X3_STAR + [1.1e-3, 0.0, 0.0], (0, 1))
+
+    def test_zero_power_optimum_floor(self, three_link):
+        # 1e-3 of the 1e-12 mW floor: 1e-16 mW matches, 1e-13 mW does not.
+        exact = EnumerationResult((), np.zeros(3), 0.0, True)
+        assert matches_optimum(three_link, exact, np.array([1e-19, 0.0, 0.0]), ())
+        assert not matches_optimum(three_link, exact, np.array([1e-16, 0.0, 0.0]), ())
 
 
 class TestEstimateQbar:
