@@ -27,6 +27,7 @@ run_nlpd / run_lqmd report, is a row position of the problem argument.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,11 +224,7 @@ def _deflate(
     """Shared NLPD / LQMD skeleton; LQMD, the q < 1 case, reselects alpha on each round's sub-problem."""
     base = problem
     removal_trace: list[dict] = []
-    # ridge_retries sums KktCertificate.ridge_retries over every start;
-    # terminations counts the starts per termination string;
-    # max_primal_residual is the largest KktCertificate.primal_residual.
-    stats = {"solver_calls": 0, "total_iterations": 0, "ridge_retries": 0, "terminations": {},
-             "max_primal_residual": 0.0}
+    certificates: list[kernel.KktCertificate] = []   # every start of every round
 
     # keep and removed are positions of base; restrict keeps keep's ascending
     # order, so row i of a round's sub-problem is keep[i].
@@ -242,12 +239,7 @@ def _deflate(
         if q < 1.0:
             sub = sub.with_alpha(select_alpha(sub))
         res = kernel.multistart_solve(kernel.augment(sub, q=q), config, n_starts, seed + round_idx)
-        stats["solver_calls"] += n_starts
-        stats["total_iterations"] += res.total_iterations
-        for cert in res.certificates:
-            stats["ridge_retries"] += cert.ridge_retries
-            stats["max_primal_residual"] = max(stats["max_primal_residual"], cert.primal_residual)
-            stats["terminations"][cert.termination] = stats["terminations"].get(cert.termination, 0) + 1
+        certificates.extend(res.certificates)
         link = keep.pop(removal_candidate(sub, res.x))
         removal_trace.append({"link": link, "stage": "deflate", "round": round_idx})
         removed.append(link)
@@ -260,13 +252,18 @@ def _deflate(
     # it readmitted a link, else the loop's exit check.
     if x_final is None:
         x_final = x_keep if keep else np.zeros(0)   # empty: no link is admissible, even alone
-    powers_w = x_final * base.budgets[final]
     return AdmissionResult(
         admitted=final,
-        powers_w=powers_w,
+        powers_w=x_final * base.budgets[final],
         removal_trace=removal_trace,
         readmitted=readmitted,
-        stats=stats,
+        stats={
+            "solver_calls": len(certificates),
+            "total_iterations": sum(cert.iterations for cert in certificates),
+            "ridge_retries": sum(cert.ridge_retries for cert in certificates),
+            "terminations": dict(Counter(cert.termination for cert in certificates)),
+            "max_primal_residual": max([0.0] + [cert.primal_residual for cert in certificates]),
+        },
     )
 
 

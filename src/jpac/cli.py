@@ -24,6 +24,9 @@ from .network import NetworkInstance, normalize
 from .oracle import enumerate_l0, estimate_qbar
 from .scenario import ScenarioConfig, generate
 
+# solve --algo lqmd's --q, --n and --seed when left out; nlpd runs one start and takes none.
+LQMD_DEFAULTS = {"q": 0.5, "n": 5, "seed": 0}
+
 
 def _load_instance(path: str) -> NetworkInstance:
     return NetworkInstance.from_json(Path(path).read_text())
@@ -48,12 +51,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    given = {name: getattr(args, name) for name in LQMD_DEFAULTS if getattr(args, name) is not None}
     problem = normalize(_load_instance(args.instance))
     config = kernel.SolverConfig(epsilon=args.epsilon, trace_path=args.trace)
     if args.algo == "nlpd":
+        if given:
+            raise ValueError(f"--algo nlpd takes no {', '.join('--' + name for name in given)}")
         result = run_nlpd(problem, config)
     else:
-        result = run_lqmd(problem, q=args.q, n_starts=args.n, config=config, seed=args.seed)
+        lqmd = {**LQMD_DEFAULTS, **given}
+        result = run_lqmd(problem, q=lqmd["q"], n_starts=lqmd["n"], config=config, seed=lqmd["seed"])
     print(result.to_json())
     return 0
 
@@ -102,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one deflation algorithm on one instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--algo", choices=["nlpd", "lqmd"], required=True)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=5, help="multistart count (lqmd)")
+    p.add_argument("--q", type=float, help="lq exponent (lqmd)")
+    p.add_argument("--n", type=int, help="multistart count (lqmd)")
     p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="multistart seed (lqmd)")
     p.add_argument("--trace", default=None, help="JSON-lines solver trace path")
     p.set_defaults(func=_cmd_solve)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from dataclasses import dataclass, field, fields
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import kernel
 from .admission import admissible, run_lqmd, run_nlpd
-from .network import is_int, is_real, normalize
+from .network import is_int, is_real, json_object, normalize
 from .oracle import ENUMERATION_GUARD, enumerate_l0, estimate_qbar, matches_optimum
 from .scenario import ScenarioConfig, generate
 
@@ -32,7 +31,7 @@ class ExperimentConfig:
     experiment: str
     K_list: list[int] = field(default_factory=lambda: [5])
     runs: int = 100
-    q_list: list[float] = field(default_factory=lambda: [0.5])
+    q_list: list[float] | None = None
     n_starts: int = 5
     # 1e-6 keeps the q ~ 1 residuals well below the support threshold.
     epsilon: float = 1e-6
@@ -46,15 +45,30 @@ class ExperimentConfig:
         if not (is_int(self.runs) and self.runs >= 0):
             raise ValueError(f"runs must be a nonnegative integer, got {self.runs!r}")
         kernel.check_starts(self.n_starts, self.seed)
+        kernel.SolverConfig(epsilon=self.epsilon)   # raises on a bad value
         if not isinstance(self.K_list, list) or not all(map(is_int, self.K_list)):
             raise ValueError("K_list must be a list of integers")
+        # A repeated value would run its cells again and emit their rows twice.
+        if len(set(self.K_list)) != len(self.K_list):
+            raise ValueError(f"K_list must not repeat a value, got {self.K_list}")
+        if any(K < 1 for K in self.K_list):
+            raise ValueError("all K in K_list must be at least 1")
+        # Unchecked, every cell would fail on the enumeration guard, approx-compare's after its solves.
+        if (self.experiment in ("approx-compare", "recover-qbar")
+                and any(K > ENUMERATION_GUARD for K in self.K_list)):
+            raise ValueError(f"{self.experiment} enumerates subsets: "
+                             f"all K in K_list must be at most {ENUMERATION_GUARD}")
+        # recover-qbar walks estimate_qbar's own q grid and takes no q_list: the q checks come last.
+        if self.experiment == "recover-qbar":
+            if self.q_list is not None:
+                raise ValueError("recover-qbar takes no q_list: estimate_qbar walks its own q grid")
+            return
+        if self.q_list is None:
+            self.q_list = [0.5]
         if not isinstance(self.q_list, list) or not all(map(is_real, self.q_list)):
             raise ValueError("q_list must be a list of numbers")
-        # A repeated value would run its cells again and emit their rows twice.
-        for name in ("K_list", "q_list"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat a value, got {values}")
+        if len(set(self.q_list)) != len(self.q_list):
+            raise ValueError(f"q_list must not repeat a value, got {self.q_list}")
         if not self.q_list:
             raise ValueError("q_list must not be empty")
         if self.experiment in ("deflate-compare", "scaling-ratio") and len(self.q_list) > 1:
@@ -63,29 +77,10 @@ class ExperimentConfig:
             raise ValueError("all q must lie in (0, 1]")
         if self.experiment in ("deflate-compare", "q-sensitivity", "scaling-ratio") and 1.0 in self.q_list:
             raise ValueError(f"{self.experiment} runs LQMD, which needs q < 1: q_list must not hold 1")
-        if any(K < 1 for K in self.K_list):
-            raise ValueError("all K in K_list must be at least 1")
-        # Unchecked, every cell would fail on the enumeration guard, approx-compare's after its solves.
-        if (self.experiment in ("approx-compare", "recover-qbar")
-                and any(K > ENUMERATION_GUARD for K in self.K_list)):
-            raise ValueError(f"{self.experiment} enumerates subsets: "
-                             f"all K in K_list must be at most {ENUMERATION_GUARD}")
-        kernel.SolverConfig(epsilon=self.epsilon)   # raises on a bad value
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
-        if "experiment" not in doc:
-            raise ValueError(f"config must name an experiment; choose from {EXPERIMENTS}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if doc["experiment"] == "recover-qbar" and "q_list" in doc:
-            raise ValueError("recover-qbar takes no q_list: estimate_qbar walks its own q grid")
-        return cls(**doc)
+        return cls(**json_object(text, "config", ("experiment",), [f.name for f in fields(cls)]))
 
 
 @dataclass

@@ -5,7 +5,8 @@ receiver pair per link).  Feasibility of a power vector is expressed either
 in physical units (SINR_k >= gamma_k) or, after normalization, as
 [A x - b]_k >= 0 with x_k = p_k / pbar_k.  The normalized matrix A has unit
 diagonal and non-positive off-diagonals, which the downstream solvers rely
-on.  lu_solve is the one LU solve that every jpac linear system goes through.
+on.  lu_solve is the one LU solve that every jpac linear system goes through,
+and json_object the one reader of jpac's JSON input documents.
 """
 
 from __future__ import annotations
@@ -29,6 +30,20 @@ def is_int(value) -> bool:
 
 def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def json_object(text: str, what: str, required, known) -> dict:
+    """The JSON object in text, else ValueError naming each missing field and each unknown one."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise ValueError(f"{what} is missing fields: {missing}")
+    unknown = sorted(set(doc) - set(required) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {unknown}")
+    return doc
 
 
 def _raise_singular(err, flag):
@@ -139,26 +154,12 @@ class NetworkInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkInstance":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("instance must be a JSON object")
+        doc = json_object(text, "instance", ("gains", "noise_w", "sinr_targets_linear", "budgets_w"),
+                          ("version", "K", "geometry"))
         if doc.get("version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {doc.get('version')!r}")
-        missing = [name for name in ("gains", "noise_w", "sinr_targets_linear", "budgets_w")
-                   if name not in doc]
-        if missing:
-            raise ValueError(f"instance is missing fields: {missing}")
-        unknown = sorted(set(doc) - {"version", "K", "geometry", "gains", "noise_w",
-                                     "sinr_targets_linear", "budgets_w"})
-        if unknown:
-            raise ValueError(f"unknown instance fields: {unknown}")
-        instance = cls(
-            gains=doc["gains"],
-            noise=doc["noise_w"],
-            sinr_targets=doc["sinr_targets_linear"],
-            budgets=doc["budgets_w"],
-            geometry=doc.get("geometry"),
-        )
+        instance = cls(gains=doc["gains"], noise=doc["noise_w"], sinr_targets=doc["sinr_targets_linear"],
+                       budgets=doc["budgets_w"], geometry=doc.get("geometry"))
         if "K" in doc and doc["K"] != instance.K:
             raise ValueError(f"field K is {doc['K']!r} but gains is {instance.K} x {instance.K}")
         return instance

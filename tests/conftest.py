@@ -1,9 +1,13 @@
-"""Shared fixtures: the three-link textbook problem and problem-building helpers."""
+"""Shared fixtures: the three-link textbook problem, problem-building helpers and criterion runs."""
+
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jpac import kernel
+from jpac.harness import ExperimentConfig, run_experiment
 from jpac.network import NetworkInstance, NormalizedProblem, normalize
 from jpac.scenario import ScenarioConfig, generate
 
@@ -69,6 +73,24 @@ def fail_first_schur_solve(monkeypatch) -> None:
         return solve(a, b)
 
     monkeypatch.setattr(kernel, "lu_solve", failing_once)
+
+
+CRITERIA = Path(__file__).resolve().parent / "criteria"
+
+
+def criterion_config(num: int) -> ExperimentConfig:
+    """Criterion num's experiment config, read from its committed file as `jpac experiment` reads it."""
+    return ExperimentConfig.from_json((CRITERIA / f"criterion_{num:02d}.json").read_text())
+
+
+@functools.cache
+def criterion_run(num: int):
+    """run_experiment's (rows, summary) for criterion num's config, run once per session.
+
+    Every caller shares the same rows and summary records: a test reads them
+    and must not change them.
+    """
+    return run_experiment(criterion_config(num))
 
 
 # Verdict lines recorded by the acceptance tests; echoed after the run so

@@ -9,20 +9,17 @@ experiment --config` reads them.
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jpac import kernel
 from jpac.admission import admissible
-from jpac.harness import ExperimentConfig, run_experiment
+from jpac.harness import run_experiment
 
 import conftest
-from conftest import X3_STAR, diag_problem, random_problem
+from conftest import X3_STAR, criterion_config, criterion_run, diag_problem, random_problem
 from reference import foschini_miljanic, lp_exact
-
-CRITERIA = Path(__file__).resolve().parent / "criteria"
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -31,10 +28,6 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     conftest.ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def _criterion_config(num: int) -> ExperimentConfig:
-    return ExperimentConfig.from_json((CRITERIA / f"criterion_{num:02d}.json").read_text())
 
 
 def _summary_value(summary, metric, **keys):
@@ -157,7 +150,7 @@ def test_criterion_04_certificate_soundness(corpus):
 
 def test_criterion_05_benchmark_comparison_k5():
     t0 = time.perf_counter()
-    config = _criterion_config(5)
+    config = criterion_config(5)
     _, summary = run_experiment(config)
     elapsed = time.perf_counter() - t0
     bench = _summary_value(summary, "mean_supported", algorithm="benchmark")
@@ -170,7 +163,7 @@ def test_criterion_05_benchmark_comparison_k5():
 
 
 def test_criterion_06_lq_vs_l1_separation_k10():
-    config = _criterion_config(6)
+    config = criterion_config(6)
     _, summary = run_experiment(config)
     lq = _summary_value(summary, "mean_supported", algorithm="lq0.1")
     l1 = _summary_value(summary, "mean_supported", algorithm="l1")
@@ -180,7 +173,7 @@ def test_criterion_06_lq_vs_l1_separation_k10():
 
 
 def test_criterion_07_deflation_comparison_k20():
-    config = _criterion_config(7)
+    config = criterion_config(7)
     _, summary = run_experiment(config)
     lq = _summary_value(summary, "mean_supported", algorithm="lqmd")
     nl = _summary_value(summary, "mean_supported", algorithm="nlpd")
@@ -193,7 +186,7 @@ def test_criterion_07_deflation_comparison_k20():
 
 
 def test_criterion_08_scaling_ratios():
-    config = _criterion_config(8)
+    config = criterion_config(8)
     _, summary = run_experiment(config)
     details = []
     ok = True
@@ -234,8 +227,7 @@ def test_criterion_09_oracle_cross_validation():
 
 
 def test_criterion_10_recovery_exponent_statistics():
-    config = _criterion_config(10)
-    rows, summary = run_experiment(config)
+    rows, summary = criterion_run(10)
     success = _summary_value(summary, "match_rate", algorithm="lq-recovery")
     mean_q = _summary_value(summary, "mean_qbar", algorithm="lq-recovery")
     ok = success >= 0.8 and 0.3 <= mean_q <= 0.8 and all(r.error is None for r in rows)

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-from pathlib import Path
 
 import pytest
 
@@ -19,6 +18,8 @@ from jpac.harness import (
     summarize,
     summary_to_csv,
 )
+
+from conftest import criterion_run
 
 
 def _row(algorithm, seed, supported, power=10.0, K=4, experiment="deflate-compare"):
@@ -141,11 +142,10 @@ class TestRunExperiment:
         assert any(r["metric"] == "mean_qbar" for r in summary)
 
     def test_recover_qbar_match_is_the_power_rule(self):
-        # Criterion 10's config cut to 6 runs; each run keeps its instance seed.
-        # At q = 0.06 run 5's answer has the optimum's support and total power
-        # within 4e-4 relative, though one x entry is 1.2e-3 off: a match.
-        doc = json.loads((Path(__file__).parent / "criteria" / "criterion_10.json").read_text())
-        rows, _ = run_experiment(ExperimentConfig.from_json(json.dumps({**doc, "runs": 6})))
+        # Criterion 10's run, shared with its acceptance test.  At q = 0.06
+        # run 5's answer has the optimum's support and total power within
+        # 4e-4 relative, though one x entry is 1.2e-3 off: a match.
+        rows, _ = criterion_run(10)
         assert [r.qbar for r in rows if r.seed == 5] == [0.06]
 
     def test_config_validation(self):
@@ -166,6 +166,11 @@ class TestRunExperiment:
                 ExperimentConfig(experiment=experiment, q_list=[1.0])
         ExperimentConfig(experiment="q-sensitivity", q_list=[0.5, 0.99])
         ExperimentConfig(experiment="approx-compare", q_list=[0.5, 1.0])
+        # recover-qbar walks estimate_qbar's own q grid, from Python as from JSON.
+        with pytest.raises(ValueError, match="q_list"):
+            ExperimentConfig(experiment="recover-qbar", q_list=[0.3])
+        assert ExperimentConfig(experiment="recover-qbar").q_list is None
+        assert ExperimentConfig(experiment="deflate-compare").q_list == [0.5]
 
 
 class TestCli:
@@ -231,6 +236,26 @@ class TestCli:
         for argv in (["solve", "--algo", "lqmd"], ["recover-qbar", "--n", "2"]):
             assert main(argv + ["--instance", path, "--seed", "-1"]) == 1
             assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--q", "7"), ("--n", "3"), ("--seed", "-4")])
+    def test_nlpd_rejects_lqmd_flags(self, tmp_path, capsys, flag, value):
+        # nlpd runs the default start alone, so these would do nothing.
+        main(["generate", "--K", "3", "--seed", "2", "--out", str(tmp_path)])
+        capsys.readouterr()
+        path = str(next(tmp_path.glob("*.json")))
+        assert main(["solve", "--algo", "nlpd", "--instance", path, flag, value]) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_lqmd_defaults(self, tmp_path, capsys):
+        # This K=4 instance enters the deflation loop, so q, n and seed all act.
+        main(["generate", "--K", "4", "--seed", "4", "--out", str(tmp_path)])
+        capsys.readouterr()
+        solve = ["solve", "--algo", "lqmd", "--instance", str(next(tmp_path.glob("*.json")))]
+        assert main(solve) == 0
+        default = capsys.readouterr().out
+        assert main(solve + ["--q", "0.5", "--n", "5", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["stats"]["solver_calls"] >= 5
 
     def test_recover_qbar(self, tmp_path, capsys):
         out = tmp_path / "inst"

@@ -333,6 +333,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"unknown instance fields: \['budget_w', 'gian'\]"):
             NetworkInstance.from_json(json.dumps(doc))
 
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="instance must be a JSON object"):
+            NetworkInstance.from_json("[]")
+
     def test_bad_version_rejected(self, three_link_instance):
         doc = json.loads(three_link_instance.to_json())
         doc["version"] = 99
