@@ -75,21 +75,23 @@ def admissible(problem: NormalizedProblem, S) -> np.ndarray | None:
     checked as restrict checks it.
 
     The oracle asks this 2^K - 1 times, each on a few links: take gathers
-    the same values as fancy indexing at less cost, and the box test
-    compares x entry by entry in Python, cheaper than two numpy reductions
-    and the same verdict as _in_box (a NaN fails both comparisons).  x
-    inside (0, 1] skips the clip, which would leave it as it is; the
-    strict 0 < sends -0.0 through the clip.
+    the same values as fancy indexing at less cost, lu_solve takes b_S as a
+    vector, and the box test takes Python's sum, min and max of x, cheaper
+    than two numpy reductions and the same verdict as _in_box: a NaN entry,
+    which min and max may skip, makes the sum NaN, and with no NaN min and
+    max are numpy's.  x inside (0, 1] skips the clip, which would leave it
+    as it is; the strict 0 < sends -0.0 through the clip.
     """
     idx = index_set(S, problem.K)
     try:
-        x = lu_solve(problem.A.take(idx, 0).take(idx, 1), problem.b.take(idx)[:, None])[:, 0]
+        x = lu_solve(problem.A.take(idx, 0).take(idx, 1), problem.b.take(idx))
     except np.linalg.LinAlgError:
         return None
     xs = x.tolist()
-    if not all(-ADMISSIBLE_ATOL <= v <= 1.0 + ADMISSIBLE_ATOL for v in xs):
+    total, lo, hi = sum(xs), min(xs), max(xs)
+    if total != total or lo < -ADMISSIBLE_ATOL or hi > 1.0 + ADMISSIBLE_ATOL:
         return None
-    if 0.0 < min(xs) and max(xs) <= 1.0:    # no NaN is left for min and max to skip
+    if 0.0 < lo and hi <= 1.0:
         return x
     return np.minimum(np.maximum(x, 0.0), 1.0)
 

@@ -204,7 +204,7 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]
     """
     for attempt in range(4):
         try:
-            return lu_solve(normal, rhs[..., None])[..., 0], attempt
+            return lu_solve(normal, rhs), attempt
         except np.linalg.LinAlgError:
             if attempt == 3:
                 raise

@@ -6,7 +6,9 @@ in physical units (SINR_k >= gamma_k) or, after normalization, as
 [A x - b]_k >= 0 with x_k = p_k / pbar_k.  The normalized matrix A has unit
 diagonal and non-positive off-diagonals, which the downstream solvers rely
 on.  lu_solve is the one LU solve that every jpac linear system goes through,
-and json_object the one reader of jpac's JSON input documents.
+for a vector right-hand side (admissible, the kernel's normal solve) or a
+matrix one (_bordered_scan), and json_object the one reader of jpac's JSON
+input documents.
 """
 
 from __future__ import annotations
@@ -56,11 +58,18 @@ def _raise_singular(err, flag):
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """numpy.linalg.solve(a, b), bit for bit, for float64 a of shape (..., m, m) and b of shape (..., m, n).
 
+    A b of shape a.shape[:-1] is a vector, solved by solve1, the gufunc
+    numpy.linalg.solve uses for a 1-D b: the one-column LU solve of
+    numpy.linalg.solve(a, b[..., None])[..., 0], bit for bit, without the
+    reshapes.  admissible and the kernel pass vectors, _bordered_scan a matrix.
+
     It calls the gufunc that numpy.linalg.solve calls, under the same error
     state, so a singular block raises LinAlgError and no warning.  What it
     skips is the wrapper's conversions and type checks, which cost more than
     LAPACK on the small systems jpac solves.
     """
+    if b.shape == a.shape[:-1]:
+        return _umath_linalg.solve1(a, b, signature="dd->d")
     return _umath_linalg.solve(a, b, signature="dd->d")
 
 
@@ -156,11 +165,12 @@ class NetworkInstance:
     def from_json(cls, text: str) -> "NetworkInstance":
         doc = json_object(text, "instance", ("gains", "noise_w", "sinr_targets_linear", "budgets_w"),
                           ("version", "K", "geometry"))
-        if doc.get("version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {doc.get('version')!r}")
+        version = doc.get("version")
+        if not (is_int(version) and version == SCHEMA_VERSION):
+            raise ValueError(f"unsupported schema version {version!r}")
         instance = cls(gains=doc["gains"], noise=doc["noise_w"], sinr_targets=doc["sinr_targets_linear"],
                        budgets=doc["budgets_w"], geometry=doc.get("geometry"))
-        if "K" in doc and doc["K"] != instance.K:
+        if "K" in doc and not (is_int(doc["K"]) and doc["K"] == instance.K):
             raise ValueError(f"field K is {doc['K']!r} but gains is {instance.K} x {instance.K}")
         return instance
 

@@ -76,22 +76,24 @@ class TestAdmissibleRows:
     """admissible's body on the rows of one set: its box test, its clip and its bits."""
 
     def test_one_set_box_test_matches_in_box(self, monkeypatch):
-        # admissible tests the box entry by entry in Python: NaN, +inf and
-        # entries past the slack fail, the two bounds themselves pass, and
-        # every verdict is _in_box's.
+        # admissible tests the box in one pass of Python's sum, min and max:
+        # NaN, +inf, both infinities at once (a NaN sum) and entries past the
+        # slack fail, the two bounds themselves pass, and every verdict is
+        # _in_box's.
         atol = admission.ADMISSIBLE_ATOL
         prob = diag_problem(K=3, b=0.5)
-        for entry, want in ((np.nan, False), (np.inf, False), (-2.0 * atol, False),
-                            (1.0 + 2.0 * atol, False), (-atol, True), (1.0 + atol, True)):
-            for pos in range(3):
-                x = np.full(3, 0.5)
-                x[pos] = entry
-                monkeypatch.setattr(admission, "lu_solve", lambda a, b, x=x: x[:, None].copy())
-                x_s = admissible(prob, [0, 1, 2])
-                ok = x_s is not None
-                assert ok is want and bool(admission._in_box(x)) is want, (entry, pos)
-                if ok:
-                    assert x_s.tolist() == np.clip(x, 0.0, 1.0).tolist()
+        cases = [(entry, pos, want) for entry, want in ((np.nan, False), (np.inf, False), (-2.0 * atol, False),
+                                                        (1.0 + 2.0 * atol, False), (-atol, True), (1.0 + atol, True))
+                 for pos in range(3)]
+        for entry, pos, want in cases + [((np.inf, -np.inf), [0, 2], False)]:
+            x = np.full(3, 0.5)
+            x[pos] = entry
+            monkeypatch.setattr(admission, "lu_solve", lambda a, b, x=x: x.copy())
+            x_s = admissible(prob, [0, 1, 2])
+            ok = x_s is not None
+            assert ok is want and bool(admission._in_box(x)) is want, (entry, pos)
+            if ok:
+                assert x_s.tolist() == np.clip(x, 0.0, 1.0).tolist()
 
     @staticmethod
     def _assert_matches_numpy_solve(prob, S):

@@ -88,11 +88,13 @@ class TestLuSolve:
     def test_bit_identical_to_numpy_solve(self):
         rng = np.random.default_rng(0)
         for shape_a, shape_b in (((5, 5), (5, 1)), ((5, 5), (5, 4)), ((1, 1), (1, 1)),
-                                 ((7, 6, 6), (7, 6, 1)), ((7, 6, 6), (7, 6, 3)), ((3, 10, 10), (3, 10, 11))):
+                                 ((7, 6, 6), (7, 6, 1)), ((7, 6, 6), (7, 6, 3)), ((3, 10, 10), (3, 10, 11)),
+                                 ((5, 5), (5,)), ((1, 1), (1,)), ((7, 6, 6), (7, 6))):
             a = rng.standard_normal(shape_a) + 3.0 * np.eye(shape_a[-1])
             b = rng.standard_normal(shape_b)
             got = lu_solve(a, b)
-            want = np.linalg.solve(a, b)
+            # A vector b is one column: numpy.linalg.solve reads a 2-D b as a matrix.
+            want = np.linalg.solve(a, b[..., None])[..., 0] if b.shape == a.shape[:-1] else np.linalg.solve(a, b)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (shape_a, shape_b)
 
@@ -108,6 +110,10 @@ class TestLuSolve:
                 lu_solve(stack, np.ones((3, 2, 1)))
             with pytest.raises(np.linalg.LinAlgError):
                 lu_solve(np.zeros((3, 3)), np.ones((3, 2)))
+            with pytest.raises(np.linalg.LinAlgError):
+                lu_solve(singular, np.ones(2))
+            with pytest.raises(np.linalg.LinAlgError):
+                lu_solve(stack, np.ones((3, 2)))
         assert np.geterr() == before
 
     def test_error_state_restored_after_each_call(self):
@@ -122,6 +128,11 @@ class TestLuSolve:
             assert (np.geterr(), np.geterrcall()) == before
             with pytest.raises(np.linalg.LinAlgError):
                 lu_solve(np.zeros((2, 2)), np.ones((2, 1)))
+            assert (np.geterr(), np.geterrcall()) == before
+            lu_solve(np.eye(3) + 0.1, np.ones(3))
+            assert (np.geterr(), np.geterrcall()) == before
+            with pytest.raises(np.linalg.LinAlgError):
+                lu_solve(np.zeros((2, 2)), np.ones(2))
             assert (np.geterr(), np.geterrcall()) == before
 
     def test_singular_block_raises_inside_a_raising_error_state(self):
@@ -341,4 +352,21 @@ class TestSerialization:
         doc = json.loads(three_link_instance.to_json())
         doc["version"] = 99
         with pytest.raises(ValueError):
+            NetworkInstance.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_version_rejected(self, three_link_instance, version):
+        # True == 1 and 1.0 == 1, so an equality test alone accepted both.
+        doc = json.loads(three_link_instance.to_json())
+        doc["version"] = version
+        with pytest.raises(ValueError, match=f"unsupported schema version {version!r}"):
+            NetworkInstance.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("K,links", [(True, 1), (3.0, 3)], ids=["bool", "float"])
+    def test_non_integer_K_rejected(self, K, links):
+        # True == 1 and 3.0 == 3, so an equality test alone accepted both.
+        doc = json.loads(NetworkInstance(gains=np.eye(links), noise=np.ones(links), sinr_targets=np.ones(links),
+                                         budgets=np.ones(links)).to_json())
+        doc["K"] = K
+        with pytest.raises(ValueError, match=f"field K is {K!r} but gains is {links} x {links}"):
             NetworkInstance.from_json(json.dumps(doc))
