@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} runs one q: q_list must hold one value")
         if any(not (0.0 < q <= 1.0) for q in self.q_list):
             raise ValueError("all q must lie in (0, 1]")
-        if self.experiment in ("deflate-compare", "q-sensitivity", "scaling-ratio") and 1.0 in self.q_list:
+        if self.experiment in _DEFLATE_RUNS and 1.0 in self.q_list:
             raise ValueError(f"{self.experiment} runs LQMD, which needs q < 1: q_list must not hold 1")
 
     @classmethod
@@ -205,45 +205,43 @@ def _approx_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
     return rows
 
 
-def _deflate_row(config, scfg, problem, K, q, run, algorithm) -> MetricsRow:
-    def solve(row):
-        result = (
-            run_nlpd(problem, scfg)
-            if algorithm == "nlpd"
-            else run_lqmd(problem, q=q, n_starts=config.n_starts, config=scfg,
-                          seed=_seed(config.seed, K, run, 1))
-        )
-        row.supported = len(result.admitted)
-        row.power_mw = result.total_power_mw
-
-    return _timed_row(config, K, q, algorithm, run, solve)
+# The (algorithm, q, distance scale) runs of each deflation experiment's
+# cell, given its q_list.  Paired setups share geometry and solver seeds; only
+# distances scale.
+_DEFLATE_RUNS = {
+    "deflate-compare": lambda qs: [("nlpd", 1.0, 1.0), ("lqmd", qs[0], 1.0)],
+    "q-sensitivity": lambda qs: [(f"lqmd-q{q:g}", q, 1.0) for q in qs],
+    "scaling-ratio": lambda qs: [("lqmd-setup1", qs[0], 1.0), ("lqmd-setup2", qs[0], 0.707)],
+}
 
 
-def _deflate_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
-    problem = _make_problem(config, K, run)
-    return [_deflate_row(config, scfg, problem, K, 1.0, run, "nlpd"),
-            _deflate_row(config, scfg, problem, K, config.q_list[0], run, "lqmd")]
+def _deflate_cell(config, scfg, K, run) -> list[MetricsRow]:
+    """One row per run of the experiment; runs at one distance scale share one instance."""
+    problems, rows = {}, []
+    for algorithm, q, scale in _DEFLATE_RUNS[config.experiment](config.q_list):
+        if scale not in problems:
+            problems[scale] = _make_problem(config, K, run, distance_scale=scale)
+        problem = problems[scale]
 
+        def solve(row):
+            result = (
+                run_nlpd(problem, scfg)
+                if algorithm == "nlpd"
+                else run_lqmd(problem, q=q, n_starts=config.n_starts, config=scfg,
+                              seed=_seed(config.seed, K, run, 1))
+            )
+            row.supported = len(result.admitted)
+            row.power_mw = result.total_power_mw
 
-def _q_sensitivity_cell(config, scfg, K, run) -> list[MetricsRow]:
-    problem = _make_problem(config, K, run)
-    return [_deflate_row(config, scfg, problem, K, q, run, f"lqmd-q{q:g}") for q in config.q_list]
-
-
-def _scaling_ratio_cell(config, scfg, K, run) -> list[MetricsRow]:
-    # Paired setups share geometry and solver seeds; only distances scale.
-    return [_deflate_row(config, scfg, _make_problem(config, K, run, distance_scale=scale),
-                         K, config.q_list[0], run, name)
-            for name, scale in (("lqmd-setup1", 1.0), ("lqmd-setup2", 0.707))]
+        rows.append(_timed_row(config, K, q, algorithm, run, solve))
+    return rows
 
 
 # Each experiment runs one cell function per (K, run) of its grid.
 _CELLS = {
     "recover-qbar": _recover_qbar_cell,
     "approx-compare": _approx_compare_cell,
-    "deflate-compare": _deflate_compare_cell,
-    "q-sensitivity": _q_sensitivity_cell,
-    "scaling-ratio": _scaling_ratio_cell,
+    **dict.fromkeys(_DEFLATE_RUNS, _deflate_cell),
 }
 EXPERIMENTS = tuple(_CELLS)
 
@@ -296,15 +294,6 @@ def summarize(rows: list[MetricsRow]) -> list[dict]:
             if equal:
                 add(K, None, "lqmd", "mean_power_mw_equal", float(np.mean([a.power_mw for a, _ in equal])))
                 add(K, None, "nlpd", "mean_power_mw_equal", float(np.mean([b.power_mw for _, b in equal])))
-
-    if experiment == "q-sensitivity":
-        # One lqmd algorithm per q, so each mean_supported record is one q's mean.
-        means = [rec for rec in records if rec["metric"] == "mean_supported"]
-        for K in sorted({rec["K"] for rec in means}):
-            at_K = [rec for rec in means if rec["K"] == K]
-            best = max(rec["value"] for rec in at_K)
-            for rec in at_K:
-                add(K, rec["q"], None, "supported_deficit", rec["value"] - best)
 
     if experiment == "scaling-ratio":
         for K in sorted({r.K for r in good}):

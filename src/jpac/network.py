@@ -163,9 +163,9 @@ class NetworkInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkInstance":
-        doc = json_object(text, "instance", ("gains", "noise_w", "sinr_targets_linear", "budgets_w"),
-                          ("version", "K", "geometry"))
-        version = doc.get("version")
+        required = ("version", "gains", "noise_w", "sinr_targets_linear", "budgets_w")
+        doc = json_object(text, "instance", required, ("K", "geometry"))
+        version = doc["version"]
         if not (is_int(version) and version == SCHEMA_VERSION):
             raise ValueError(f"unsupported schema version {version!r}")
         instance = cls(gains=doc["gains"], noise=doc["noise_w"], sinr_targets=doc["sinr_targets_linear"],

@@ -104,6 +104,9 @@ def estimate_qbar(
 
     Walks the grid from the largest q down and stops at the first answer that
     `matches_optimum`.  Returns (0.0, "failure") when the grid is exhausted.
+    It enumerates and solves at the select_alpha rule's alpha
+    (`problem.with_alpha(select_alpha(problem))`), not at the alpha the
+    caller's problem carries.
     """
     # Checked here too: the enumeration below costs 2^K - 1 solves before
     # multistart_solve would reject n_starts or seed.

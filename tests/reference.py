@@ -12,9 +12,9 @@ formulation that a jpac primitive replaced:
   blocks;
 - potential: phi = rho log f - sum log w, which the kernel's solve works
   out from the objective it already holds;
-- spectral_radius, admissible, postprocess, preprocess: the dense
-  eigensolve, the identity-column admissibility solve, the sequential
-  re-admission loop and the re-slicing preprocess loop.
+- admissible, postprocess, preprocess: the identity-column admissibility
+  solve, the sequential re-admission loop and the re-slicing preprocess
+  loop.
 """
 
 from itertools import combinations
@@ -97,11 +97,6 @@ def b_tilde(aug: AugmentedProblem) -> np.ndarray:
 def potential(W: np.ndarray, aug: AugmentedProblem, rho: float) -> np.ndarray:
     """phi(w) = rho log f(w) - sum_n log w_n for each row w of W."""
     return rho * np.log(_batch_objective(W, aug)) - np.sum(np.log(W), axis=-1)
-
-
-def spectral_radius(M) -> float:
-    """Spectral radius max|eigvals(M)| by dense eigensolve."""
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def admissible(problem, S, atol=1e-10):

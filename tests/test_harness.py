@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from jpac.admission import run_lqmd
 from jpac.cli import main
 from jpac.harness import (
     EXPERIMENTS,
@@ -13,11 +14,15 @@ from jpac.harness import (
     SUMMARY_FIELDS,
     ExperimentConfig,
     MetricsRow,
+    _seed,
     run_experiment,
     rows_to_csv,
     summarize,
     summary_to_csv,
 )
+from jpac.kernel import SolverConfig
+from jpac.network import normalize
+from jpac.scenario import ScenarioConfig, generate
 
 from conftest import criterion_run
 
@@ -62,16 +67,6 @@ class TestSummarize:
         assert _value(summary, "equal_count", K=4) == 4
         assert _value(summary, "mean_power_mw_equal", algorithm="lqmd") == pytest.approx(8.0)
         assert _value(summary, "mean_power_mw_equal", algorithm="nlpd") == pytest.approx(10.0)
-
-    def test_sensitivity_deficit_zero_at_best_q(self):
-        rows = []
-        for q, counts in [(0.3, [2, 2]), (0.5, [3, 3]), (0.7, [2, 3])]:
-            for s, n in enumerate(counts):
-                rows.append(MetricsRow("q-sensitivity", 5, q, f"lqmd-q{q:g}", s, supported=n))
-        summary = summarize(rows)
-        assert _value(summary, "supported_deficit", q=0.5) == 0.0
-        assert _value(summary, "supported_deficit", q=0.3) == pytest.approx(-1.0)
-        assert _value(summary, "supported_deficit", q=0.7) == pytest.approx(-0.5)
 
     def test_mixed_experiments_rejected(self):
         rows = [_row("lqmd", 0, 2), _row("lqmd", 0, 2, experiment="q-sensitivity")]
@@ -130,6 +125,32 @@ class TestRunExperiment:
         algos = {r.algorithm for r in rows}
         assert algos == {"benchmark", "lq0.5", "l1"}
         assert _value(summary, "match_rate", algorithm="benchmark") == 1.0
+
+    def test_deflate_rows_are_run_lqmd_on_the_cell(self):
+        # At seed 0, run 1 deflates, its two q differ in power, and its q = 0.3
+        # row moves with the solver seed.
+        qs, K = [0.3, 0.7], 6
+        scfg = SolverConfig(epsilon=1e-6)
+
+        def lqmd(run, q, distance_scale=1.0):
+            inst = generate(ScenarioConfig(K=K, seed=_seed(0, K, run), distance_scale=distance_scale))
+            result = run_lqmd(normalize(inst), q=q, n_starts=2, config=scfg, seed=_seed(0, K, run, 1))
+            return len(result.admitted), result.total_power_mw
+
+        config = ExperimentConfig(experiment="q-sensitivity", K_list=[K], runs=2, q_list=qs,
+                                  n_starts=2, epsilon=1e-6, seed=0)
+        rows, _ = run_experiment(config)
+        for run in range(2):
+            cell = [r for r in rows if r.seed == run]
+            assert [r.algorithm for r in cell] == ["lqmd-q0.3", "lqmd-q0.7"]
+            assert [(r.supported, r.power_mw) for r in cell] == [lqmd(run, q) for q in qs]
+
+        config = ExperimentConfig(experiment="scaling-ratio", K_list=[K], runs=2, q_list=[0.3],
+                                  n_starts=2, epsilon=1e-6, seed=0)
+        rows, _ = run_experiment(config)
+        for run in range(2):
+            (row,) = [r for r in rows if r.seed == run and r.algorithm == "lqmd-setup2"]
+            assert (row.supported, row.power_mw) == lqmd(run, 0.3, distance_scale=0.707)
 
     def test_recover_qbar_rows(self):
         config = ExperimentConfig(experiment="recover-qbar", K_list=[3], runs=2,

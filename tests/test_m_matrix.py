@@ -5,10 +5,6 @@ x = A_SS^{-1} b_S with x >= 0 certifies a nonsingular M-matrix.  Each test
 here keeps the older, longer formulation, from reference.py, as the reference:
 
 - admissible: the identity-column solve that also checks A_SS^{-1} >= 0;
-- the full-set solve that admissible runs on S = all links: the dense
-  eigensolve rho(I - A) >= 1 (reference.spectral_radius).  select_alpha no
-  longer reads that verdict; the same tests pin that it returns
-  0.2 * alpha1 under both verdicts;
 - postprocess: the sequential loop, repeated until a pass admits nothing;
 - preprocess: the loop that re-slices A after every removal.
 """
@@ -19,23 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jpac import admission
-from jpac.admission import admissible, postprocess, preprocess, removal_candidate, run_lqmd
-from jpac.network import NormalizedProblem, normalize, restrict, select_alpha
+from jpac.admission import admissible, postprocess, preprocess, removal_candidate
+from jpac.network import NormalizedProblem, normalize, restrict
 from jpac.scenario import ScenarioConfig, generate
 
 from conftest import random_problem
 import reference
 
 DENSITIES = st.sampled_from([1.0, 0.707])
-
-
-def _high_interference(problem) -> bool:
-    """rho(I - A) >= 1, read off the full-set solve: no x >= 0 solves A x = b, or A is singular."""
-    try:
-        return not np.linalg.solve(problem.A, problem.b).min() >= 0.0
-    except np.linalg.LinAlgError:
-        return True
 
 
 def _orthogonal(b) -> NormalizedProblem:
@@ -71,63 +58,6 @@ class TestAdmissibleEquivalence:
         assert admissible(prob, [0, 1]) is None
         assert reference.admissible(prob, [0, 1]) is None
         assert admissible(prob, [1]) == pytest.approx([0.5])
-
-
-class TestSelectAlphaEquivalence:
-    @pytest.mark.parametrize("K", [5, 10, 20, 40, 64, 100, 150])
-    def test_matches_spectral_radius(self, K):
-        verdicts = []
-        for seed in range(20):
-            prob = random_problem(K, seed)
-            expected = reference.spectral_radius(np.eye(K) - prob.A) >= 1.0
-            assert _high_interference(prob) == expected, seed
-            assert select_alpha(prob) == 0.2 * prob.alpha1, seed
-            verdicts.append(expected)
-        if K == 5:
-            assert not all(verdicts)
-        if K >= 40:
-            assert any(verdicts)
-
-    def test_matches_on_lqmd_round_subproblems(self, monkeypatch):
-        seen = []
-
-        def recording(problem):
-            seen.append(problem)
-            return select_alpha(problem)
-
-        monkeypatch.setattr(admission, "select_alpha", recording)
-        for seed in range(4):
-            prob = random_problem(24, seed, 0.707)
-            recording(prob)   # run_lqmd selects alpha on its rounds' sub-problems only
-            run_lqmd(prob, q=0.5, n_starts=2, seed=seed)
-        rounds = [p for p in seen if p.K < 24]
-        assert len(rounds) >= 8
-        verdicts = [reference.spectral_radius(np.eye(p.K) - p.A) >= 1.0 for p in seen]
-        assert [_high_interference(p) for p in seen] == verdicts
-        assert all(select_alpha(p) == 0.2 * p.alpha1 for p in seen)
-        assert any(verdicts) and not all(verdicts)
-
-    def test_near_tied_eigenvalues_k100(self):
-        # Close receivers make the two largest eigenvalues of I - A nearly
-        # tie; a power iteration returned 49419.8 on this instance.
-        prob = random_problem(100, 3)
-        M = np.eye(100) - prob.A
-        rho = reference.spectral_radius(M)
-        # Gelfand's formula: ||M^(2^j)||^(1/2^j) -> rho, by repeated squaring.
-        P, log_rho = M, 0.0
-        for j in range(30):
-            norm = np.linalg.norm(P)
-            P = (P / norm) @ (P / norm)
-            log_rho += np.log(norm) / 2.0 ** j
-        assert rho == pytest.approx(np.exp(log_rho), rel=1e-6)
-        assert rho == pytest.approx(27304.9, rel=1e-5)
-        assert _high_interference(prob)
-        assert select_alpha(prob) == 0.2 * prob.alpha1
-
-    def test_singular_counts_as_high_interference(self):
-        prob = NormalizedProblem(A=[[1.0, -1.0], [-1.0, 1.0]], b=[0.5, 0.5], budgets=[1.0, 1.0])
-        assert _high_interference(prob)
-        assert select_alpha(prob) == 0.2 * prob.alpha1
 
 
 class TestPostprocessEquivalence:

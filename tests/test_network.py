@@ -146,21 +146,12 @@ class TestLuSolve:
             assert (np.geterr(), np.geterrcall()) == before
 
 
-class TestSpectralRadius:
-    def test_three_link_interference_block(self):
-        # rho(I - A3) = sqrt(2) >= 1, and the single full-set solve that
-        # stands in for the eigensolve reaches the same verdict.
-        rho = float(np.max(np.abs(np.linalg.eigvals(np.eye(3) - A3))))
-        assert rho == pytest.approx(np.sqrt(2.0))
-        assert np.linalg.solve(A3, B3).min() < 0.0
-
-
 class TestSelectAlpha:
-    def test_three_link_high_interference_branch(self, three_link):
-        # alpha = 0.2 * alpha1 = 0.2 / 3, here with rho(I - A) = sqrt(2) >= 1.
+    def test_three_link_is_fifth_of_alpha1(self, three_link):
+        # alpha = 0.2 * alpha1 = 0.2 / 3.
         assert select_alpha(three_link) == pytest.approx(1.0 / 15.0)
 
-    def test_single_link_fallback_branch(self):
+    def test_single_link_is_fifth_of_alpha1(self):
         prob = NormalizedProblem(A=[[1.0]], b=[0.5], budgets=[1.0])
         assert select_alpha(prob) == pytest.approx(0.2)
 
@@ -360,6 +351,13 @@ class TestSerialization:
         doc = json.loads(three_link_instance.to_json())
         doc["version"] = version
         with pytest.raises(ValueError, match=f"unsupported schema version {version!r}"):
+            NetworkInstance.from_json(json.dumps(doc))
+
+    def test_missing_version_named(self, three_link_instance):
+        # json_object names every missing field, version among them.
+        doc = json.loads(three_link_instance.to_json())
+        del doc["version"]
+        with pytest.raises(ValueError, match=r"instance is missing fields: \['version'\]"):
             NetworkInstance.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("K,links", [(True, 1), (3.0, 3)], ids=["bool", "float"])
