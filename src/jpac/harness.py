@@ -1,11 +1,12 @@
 """Monte-Carlo experiment driver reproducing the desk-scale comparisons.
 
-Every experiment walks a (K, run) grid, generates one instance per cell
-from a child seed stream, executes the configured algorithms and oracles,
-and emits one flat CSV row per (instance, algorithm).  A second long-format
-CSV holds aggregates (means, win counts, ratios); aggregates carry no
-information absent from the rows.  A deflation row reports the admitted set
-as the run returns it, exactly admissible.
+Every experiment is one entry of one table, _RUNS, of the runs of its
+(K, run) cells, and run_experiment is the one loop over that grid: it
+generates each cell's instance from a child seed stream, executes the
+entry's runs, and emits one flat CSV row per (instance, algorithm).  A
+second long-format CSV holds aggregates (means, win counts, ratios);
+aggregates carry no information absent from the rows.  A deflation row
+reports the admitted set as the run returns it, exactly admissible.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from . import kernel
 from .admission import admissible, run_lqmd, run_nlpd
 from .network import is_int, is_real, json_object, normalize
-from .oracle import ENUMERATION_GUARD, enumerate_l0, estimate_qbar, matches_optimum
+from .oracle import ENUMERATION_GUARD, EnumerationResult, enumerate_l0, estimate_qbar, matches_optimum
 from .scenario import ScenarioConfig, generate
 
 SUMMARY_FIELDS = ["experiment", "K", "q", "algorithm", "metric", "value"]
@@ -75,7 +77,7 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} runs one q: q_list must hold one value")
         if any(not (0.0 < q <= 1.0) for q in self.q_list):
             raise ValueError("all q must lie in (0, 1]")
-        if self.experiment in _DEFLATE_RUNS and 1.0 in self.q_list:
+        if 1.0 in self.q_list and any(solve is _lqmd for *_, solve in _RUNS[self.experiment](self)):
             raise ValueError(f"{self.experiment} runs LQMD, which needs q < 1: q_list must not hold 1")
 
     @classmethod
@@ -121,12 +123,6 @@ def _grid_key(K: int, q: float | None, algorithm: str) -> tuple:
     return (K, -1.0 if q is None else q, algorithm)
 
 
-def _make_problem(config: ExperimentConfig, K: int, run: int, **changes):
-    """The normalized instance of one grid cell; changes are the cell's own ScenarioConfig fields."""
-    scen = ScenarioConfig(K=K, seed=_seed(config.seed, K, run), **changes)
-    return normalize(generate(scen))
-
-
 def _revalidated_support(problem, x, support) -> int:
     """Supported-link count cross-checked by the exact admissibility oracle.
 
@@ -141,109 +137,86 @@ def _revalidated_support(problem, x, support) -> int:
     return len(support)
 
 
+@dataclass
+class _Cell:
+    """What the runs of one (K, run) grid cell share; an exact run sets optimum for the runs after it."""
+    scfg: kernel.SolverConfig
+    n_starts: int
+    seed: int   # the cell's solver seed
+    optimum: EnumerationResult | None = None
+
+
+def _qbar(row, problem, cell):
+    row.qbar, status = estimate_qbar(problem, n_starts=cell.n_starts, config=cell.scfg, seed=cell.seed)
+    row.match = status == "success"
+
+
+def _exact(row, problem, cell):
+    cell.optimum = enumerate_l0(problem)
+    row.supported = len(cell.optimum.best_support)
+    row.power_mw = float(problem.budgets @ cell.optimum.best_x) * 1e3
+    row.match = True
+
+
+def _lq(row, problem, cell, n_starts=None):
+    """The row's q relaxation from the cell's starts (or n_starts), matched against the cell's optimum."""
+    aug = kernel.augment(problem, q=row.q)
+    res = kernel.multistart_solve(aug, cell.scfg, n_starts or cell.n_starts, cell.seed)
+    row.supported = _revalidated_support(problem, res.x, res.support)
+    row.power_mw = float(problem.budgets @ res.x) * 1e3
+    row.match = matches_optimum(problem, cell.optimum, res.x, res.support)
+
+
+def _nlpd(row, problem, cell):
+    result = run_nlpd(problem, cell.scfg)
+    row.supported, row.power_mw = len(result.admitted), result.total_power_mw
+
+
+def _lqmd(row, problem, cell):
+    result = run_lqmd(problem, q=row.q, n_starts=cell.n_starts, config=cell.scfg, seed=cell.seed)
+    row.supported, row.power_mw = len(result.admitted), result.total_power_mw
+
+
+# The (algorithm, q, distance scale, solve) runs of each experiment's cell,
+# given its config; solve(row, problem, cell) fills in the row.  Runs at one
+# distance scale share one instance; paired setups share geometry and solver
+# seeds, and only distances scale.  l1 is the q = 1 relaxation from the
+# default start alone.
+_RUNS = {
+    "recover-qbar": lambda c: [("lq-recovery", None, 1.0, _qbar)],
+    "approx-compare": lambda c: [("benchmark", None, 1.0, _exact),
+                                 *[(f"lq{q:g}", q, 1.0, _lq) for q in c.q_list],
+                                 ("l1", 1.0, 1.0, partial(_lq, n_starts=1))],
+    "deflate-compare": lambda c: [("nlpd", 1.0, 1.0, _nlpd), ("lqmd", c.q_list[0], 1.0, _lqmd)],
+    "q-sensitivity": lambda c: [(f"lqmd-q{q:g}", q, 1.0, _lqmd) for q in c.q_list],
+    "scaling-ratio": lambda c: [("lqmd-setup1", c.q_list[0], 1.0, _lqmd),
+                                ("lqmd-setup2", c.q_list[0], 0.707, _lqmd)],
+}
+EXPERIMENTS = tuple(_RUNS)
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[list[MetricsRow], list[dict]]:
-    cell = _CELLS[config.experiment]
+    """One row per run of the experiment on each (K, run) cell; a run's exception is its row's error."""
     scfg = kernel.SolverConfig(epsilon=config.epsilon)
+    runs = _RUNS[config.experiment](config)
     rows = []
     for K in config.K_list:
         for run in range(config.runs):
-            rows.extend(cell(config, scfg, K, run))
+            cell, problems = _Cell(scfg, config.n_starts, _seed(config.seed, K, run, 1)), {}
+            for algorithm, q, scale, solve in runs:
+                if scale not in problems:
+                    scen = ScenarioConfig(K=K, seed=_seed(config.seed, K, run), distance_scale=scale)
+                    problems[scale] = normalize(generate(scen))
+                row = MetricsRow(config.experiment, K, q, algorithm, run)
+                t0 = time.perf_counter()
+                try:
+                    solve(row, problems[scale], cell)
+                except Exception as exc:  # pragma: no cover - recorded, not raised
+                    row.error = repr(exc)
+                row.runtime_ms = (time.perf_counter() - t0) * 1e3
+                rows.append(row)
     rows.sort(key=lambda r: (*_grid_key(r.K, r.q, r.algorithm), r.seed))
-    summary = summarize(rows)
-    return rows, summary
-
-
-def _timed_row(config: ExperimentConfig, K: int, q, algorithm: str, run: int, solve) -> MetricsRow:
-    """One row; solve(row) fills in the results, an exception it raises is recorded."""
-    row = MetricsRow(config.experiment, K, q, algorithm, run)
-    t0 = time.perf_counter()
-    try:
-        solve(row)
-    except Exception as exc:  # pragma: no cover - recorded, not raised
-        row.error = repr(exc)
-    row.runtime_ms = (time.perf_counter() - t0) * 1e3
-    return row
-
-
-def _recover_qbar_cell(config, scfg, K, run) -> list[MetricsRow]:
-    def solve(row):
-        problem = _make_problem(config, K, run)
-        row.qbar, status = estimate_qbar(
-            problem, n_starts=config.n_starts, config=scfg,
-            seed=_seed(config.seed, K, run, 1),
-        )
-        row.match = status == "success"
-
-    return [_timed_row(config, K, None, "lq-recovery", run, solve)]
-
-
-def _approx_compare_cell(config, scfg, K, run) -> list[MetricsRow]:
-    problem = _make_problem(config, K, run)
-    bench = None
-
-    def benchmark(row):
-        nonlocal bench
-        bench = enumerate_l0(problem)
-        row.supported = len(bench.best_support)
-        row.power_mw = float(problem.budgets @ bench.best_x) * 1e3
-        row.match = True
-
-    def relaxation(q, n_starts):
-        # l1 is the q = 1 relaxation from the default start alone.
-        def solve(row):
-            aug = kernel.augment(problem, q=q)
-            res = kernel.multistart_solve(aug, scfg, n_starts, _seed(config.seed, K, run, 1))
-            row.supported = _revalidated_support(problem, res.x, res.support)
-            row.power_mw = float(problem.budgets @ res.x) * 1e3
-            row.match = matches_optimum(problem, bench, res.x, res.support)
-        return solve
-
-    rows = [_timed_row(config, K, None, "benchmark", run, benchmark)]
-    for q in config.q_list:
-        rows.append(_timed_row(config, K, q, f"lq{q:g}", run, relaxation(q, config.n_starts)))
-    rows.append(_timed_row(config, K, 1.0, "l1", run, relaxation(1.0, 1)))
-    return rows
-
-
-# The (algorithm, q, distance scale) runs of each deflation experiment's
-# cell, given its q_list.  Paired setups share geometry and solver seeds; only
-# distances scale.
-_DEFLATE_RUNS = {
-    "deflate-compare": lambda qs: [("nlpd", 1.0, 1.0), ("lqmd", qs[0], 1.0)],
-    "q-sensitivity": lambda qs: [(f"lqmd-q{q:g}", q, 1.0) for q in qs],
-    "scaling-ratio": lambda qs: [("lqmd-setup1", qs[0], 1.0), ("lqmd-setup2", qs[0], 0.707)],
-}
-
-
-def _deflate_cell(config, scfg, K, run) -> list[MetricsRow]:
-    """One row per run of the experiment; runs at one distance scale share one instance."""
-    problems, rows = {}, []
-    for algorithm, q, scale in _DEFLATE_RUNS[config.experiment](config.q_list):
-        if scale not in problems:
-            problems[scale] = _make_problem(config, K, run, distance_scale=scale)
-        problem = problems[scale]
-
-        def solve(row):
-            result = (
-                run_nlpd(problem, scfg)
-                if algorithm == "nlpd"
-                else run_lqmd(problem, q=q, n_starts=config.n_starts, config=scfg,
-                              seed=_seed(config.seed, K, run, 1))
-            )
-            row.supported = len(result.admitted)
-            row.power_mw = result.total_power_mw
-
-        rows.append(_timed_row(config, K, q, algorithm, run, solve))
-    return rows
-
-
-# Each experiment runs one cell function per (K, run) of its grid.
-_CELLS = {
-    "recover-qbar": _recover_qbar_cell,
-    "approx-compare": _approx_compare_cell,
-    **dict.fromkeys(_DEFLATE_RUNS, _deflate_cell),
-}
-EXPERIMENTS = tuple(_CELLS)
+    return rows, summarize(rows)
 
 
 # (summary metric, MetricsRow field) of each per-group mean, in record order.

@@ -73,37 +73,34 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(a, b, signature="dd->d")
 
 
-def _as_vector(v, k: int, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (k,):
-        raise ValueError(f"{name} must have shape ({k},), got {a.shape}")
-    return a
+def _read_array(value, name: str, shape: tuple | None) -> np.ndarray:
+    """value as a float array, else ValueError naming the field.
 
-
-def _require_finite(obj, names) -> None:
-    # NaN slips through every sign check below, so test finiteness first.
-    for name in names:
-        if not np.all(np.isfinite(getattr(obj, name))):
-            raise ValueError(f"{name} must be finite")
+    The checks run in order: the entries must be numbers (dtype kind i, u or
+    f; a bool or a string is not one), the shape must be `shape` (None asks
+    for a square matrix), and every entry must be finite, as NaN slips
+    through every sign check.
+    """
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:   # a ragged nesting
+        raise ValueError(f"{name} must be a numeric array: {exc}") from None
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a numeric array of shape {shape or '(K, K)'}, got {value!r:.60}")
+    if shape is None and (a.ndim != 2 or a.shape[0] != a.shape[1]):
+        raise ValueError(f"{name} must be a square matrix, got {a.shape}")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a.astype(float, copy=False)
 
 
 def _as_geometry(geometry, k: int) -> dict:
     """Each coordinate set as a finite float array of shape (k, 2), keyed as given."""
     if not isinstance(geometry, dict):
         raise ValueError("geometry must be a dict of coordinate arrays")
-    out = {}
-    for key, coords in geometry.items():
-        name = f"geometry[{key!r}]"
-        try:
-            a = np.asarray(coords, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name} must be a numeric array: {exc}") from None
-        if a.shape != (k, 2):
-            raise ValueError(f"{name} must have shape ({k}, 2), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"{name} must be finite")
-        out[key] = a
-    return out
+    return {key: _read_array(coords, f"geometry[{key!r}]", (k, 2)) for key, coords in geometry.items()}
 
 
 @dataclass(frozen=True)
@@ -123,17 +120,13 @@ class NetworkInstance:
     geometry: dict | None = None
 
     def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
-            raise ValueError(f"gains must be a square matrix, got {gains.shape}")
+        gains = _read_array(self.gains, "gains", None)
         k = gains.shape[0]
         if k == 0:
             raise ValueError("gains must hold at least one link")
         object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "noise", _as_vector(self.noise, k, "noise"))
-        object.__setattr__(self, "sinr_targets", _as_vector(self.sinr_targets, k, "sinr_targets"))
-        object.__setattr__(self, "budgets", _as_vector(self.budgets, k, "budgets"))
-        _require_finite(self, ("gains", "noise", "sinr_targets", "budgets"))
+        for name in ("noise", "sinr_targets", "budgets"):
+            object.__setattr__(self, name, _read_array(getattr(self, name), name, (k,)))
         if np.any(gains < 0):
             raise ValueError("channel gains must be nonnegative")
         if np.any(np.diag(gains) <= 0):
@@ -190,16 +183,13 @@ class NormalizedProblem:
     alpha: float | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got {A.shape}")
+        A = _read_array(self.A, "A", None)
         k = A.shape[0]
         if k == 0:
             raise ValueError("A must hold at least one link")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", _as_vector(self.b, k, "b"))
-        object.__setattr__(self, "budgets", _as_vector(self.budgets, k, "budgets"))
-        _require_finite(self, ("A", "b", "budgets"))
+        for name in ("b", "budgets"):
+            object.__setattr__(self, name, _read_array(getattr(self, name), name, (k,)))
         if np.any(np.diag(A) != 1.0):
             raise ValueError("A must have exactly unit diagonal")
         off = A - np.diag(np.diag(A))
@@ -245,7 +235,7 @@ def _derived(A: np.ndarray, b: np.ndarray, budgets: np.ndarray, alpha: float) ->
 
 def sinr(instance: NetworkInstance, p) -> np.ndarray:
     """Per-link SINR g_kk p_k / (eta_k + sum_{j != k} g_kj p_j) at power p (watts)."""
-    p = _as_vector(p, instance.K, "p")
+    p = _read_array(p, "p", (instance.K,))
     interference = instance.gains @ p - np.diag(instance.gains) * p
     return np.diag(instance.gains) * p / (instance.noise + interference)
 

@@ -72,7 +72,7 @@ class TestAdmissible:
         assert admissible(prob, [2, 0]) == pytest.approx([0.4, 0.4])
 
 
-class TestAdmissibleRows:
+class TestAdmissibleOneSet:
     """admissible's body on the rows of one set: its box test, its clip and its bits."""
 
     def test_one_set_box_test_matches_in_box(self, monkeypatch):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from jpac import harness
 from jpac.admission import run_lqmd
 from jpac.cli import main
 from jpac.harness import (
@@ -14,14 +15,16 @@ from jpac.harness import (
     SUMMARY_FIELDS,
     ExperimentConfig,
     MetricsRow,
+    _revalidated_support,
     _seed,
     run_experiment,
     rows_to_csv,
     summarize,
     summary_to_csv,
 )
-from jpac.kernel import SolverConfig
+from jpac.kernel import SolverConfig, augment, multistart_solve
 from jpac.network import normalize
+from jpac.oracle import enumerate_l0, estimate_qbar, matches_optimum
 from jpac.scenario import ScenarioConfig, generate
 
 from conftest import criterion_run
@@ -152,6 +155,41 @@ class TestRunExperiment:
             (row,) = [r for r in rows if r.seed == run and r.algorithm == "lqmd-setup2"]
             assert (row.supported, row.power_mw) == lqmd(run, 0.3, distance_scale=0.707)
 
+    def test_approx_compare_rows_are_the_direct_calls(self, monkeypatch):
+        # One enumeration per cell; each relaxation runs from the cell's
+        # solver seed and is matched against that cell's optimum.
+        seed, K, qs, n_starts = 0, 5, [0.2, 0.5], 3
+        scfg = SolverConfig(epsilon=1e-6)
+        enumerated = []
+        monkeypatch.setattr(harness, "enumerate_l0", lambda p: enumerated.append(p) or enumerate_l0(p))
+        config = ExperimentConfig(experiment="approx-compare", K_list=[K], runs=2, q_list=qs,
+                                  n_starts=n_starts, seed=seed)
+        rows, _ = run_experiment(config)
+        assert len(enumerated) == 2
+        for run in range(2):
+            problem = normalize(generate(ScenarioConfig(K, seed=_seed(seed, K, run))))
+            exact = enumerate_l0(problem)
+            cell = {r.algorithm: r for r in rows if r.seed == run}
+            assert list(cell) == ["benchmark", "lq0.2", "lq0.5", "l1"]
+            assert (cell["benchmark"].supported, cell["benchmark"].power_mw, cell["benchmark"].match) == (
+                len(exact.best_support), float(problem.budgets @ exact.best_x) * 1e3, True)
+            for algorithm, q, starts in [("lq0.2", 0.2, n_starts), ("lq0.5", 0.5, n_starts), ("l1", 1.0, 1)]:
+                res = multistart_solve(augment(problem, q=q), scfg, starts, _seed(seed, K, run, 1))
+                row = cell[algorithm]
+                assert (row.supported, row.power_mw, row.match) == (
+                    _revalidated_support(problem, res.x, res.support), float(problem.budgets @ res.x) * 1e3,
+                    matches_optimum(problem, exact, res.x, res.support))
+
+    def test_recover_qbar_rows_are_the_direct_calls(self):
+        seed, K = 3, 3
+        config = ExperimentConfig(experiment="recover-qbar", K_list=[K], runs=2, n_starts=3, seed=seed)
+        rows, _ = run_experiment(config)
+        for run, row in enumerate(rows):
+            problem = normalize(generate(ScenarioConfig(K, seed=_seed(seed, K, run))))
+            qbar, status = estimate_qbar(problem, n_starts=3, config=SolverConfig(epsilon=1e-6),
+                                         seed=_seed(seed, K, run, 1))
+            assert (row.seed, row.qbar, row.match) == (run, qbar, status == "success")
+
     def test_recover_qbar_rows(self):
         config = ExperimentConfig(experiment="recover-qbar", K_list=[3], runs=2,
                                   n_starts=3, epsilon=1e-4, seed=5)
@@ -231,6 +269,11 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["solve", "--algo", "nlpd", "--instance", str(path)]) == 1
         assert "geometry" in capsys.readouterr().err
+        del doc["geometry"]
+        doc["gains"] = {"a": 1}
+        path.write_text(json.dumps(doc))
+        assert main(["enumerate", "--instance", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: gains")
 
     def test_generate_negative_count_exit_code(self, tmp_path, capsys):
         assert main(["generate", "--K", "3", "--count", "-1", "--out", str(tmp_path / "inst")]) == 1

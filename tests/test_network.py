@@ -317,6 +317,22 @@ class TestSerialization:
             NetworkInstance.from_json(json.dumps(doc))
         assert "geometry" in str(err.value)
 
+    @pytest.mark.parametrize("field,value,name", [
+        ("noise_w", ["0.5", "0.5"], "noise"),
+        ("budgets_w", [True, True], "budgets"),
+        ("gains", [[True, False], [False, True]], "gains"),
+        ("geometry", {"tx_m": [["1", "2"], ["3", "4"]]}, "geometry"),
+        ("gains", {"a": 1}, "gains"),
+        ("gains", "abc", "gains"),
+    ], ids=["str-noise", "bool-budgets", "bool-gains", "str-geometry", "dict-gains", "str-gains"])
+    def test_non_numeric_array_rejected(self, field, value, name):
+        # Unchecked, numpy cast the strings and bools to floats, a dict failed
+        # with a bare TypeError and a string with a message naming no field.
+        doc = {"version": 1, "K": 2, "gains": [[1.0, 0.1], [0.1, 1.0]], "noise_w": [0.5, 0.5],
+               "sinr_targets_linear": [1.0, 1.0], "budgets_w": [1.0, 1.0], field: value}
+        with pytest.raises(ValueError, match=f"^{name}.* must be a numeric array"):
+            NetworkInstance.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("K", [7, 0, "3"])
     def test_mismatched_K_rejected(self, three_link_instance, K):
         doc = json.loads(three_link_instance.to_json())
