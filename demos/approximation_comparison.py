@@ -4,7 +4,7 @@ enumeration benchmark on random 5-link deployments.
 The l0.1 multistart solver tracks the benchmark almost perfectly; the convex
 l1 relaxation supports noticeably fewer links.
 
-Run:  python3 demos/approximation_comparison.py   (about half a minute)
+Run:  python3 demos/approximation_comparison.py   (a few seconds)
 """
 
 from jpac.harness import ExperimentConfig, run_experiment

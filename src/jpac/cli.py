@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["nlpd", "lqmd"], required=True)
     p.add_argument("--q", type=float, help="lq exponent (lqmd)")
     p.add_argument("--n", type=int, help="multistart count (lqmd)")
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=float, default=kernel.SolverConfig.epsilon)
     p.add_argument("--seed", type=int, help="multistart seed (lqmd)")
     p.add_argument("--trace", default=None, help="JSON-lines solver trace path")
     p.set_defaults(func=_cmd_solve)
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover-qbar", help="estimate the recovery exponent")
     p.add_argument("--instance", required=True)
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=float, default=kernel.SolverConfig.epsilon)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_recover_qbar)
 

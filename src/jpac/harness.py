@@ -40,8 +40,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        if self.experiment not in _RUNS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; choose from {tuple(_RUNS)}")
         # JSON gives any value any type; a wrong one must fail here, by name,
         # not as a TypeError deep inside a run.
         if not (is_int(self.runs) and self.runs >= 0):
@@ -55,29 +55,34 @@ class ExperimentConfig:
             raise ValueError(f"K_list must not repeat a value, got {self.K_list}")
         if any(K < 1 for K in self.K_list):
             raise ValueError("all K in K_list must be at least 1")
-        # Unchecked, every cell would fail on the enumeration guard, approx-compare's after its solves.
-        if (self.experiment in ("approx-compare", "recover-qbar")
-                and any(K > ENUMERATION_GUARD for K in self.K_list)):
-            raise ValueError(f"{self.experiment} enumerates subsets: "
-                             f"all K in K_list must be at most {ENUMERATION_GUARD}")
-        # recover-qbar walks estimate_qbar's own q grid and takes no q_list: the q checks come last.
+        # recover-qbar walks estimate_qbar's own q grid and takes no q_list.
         if self.experiment == "recover-qbar":
             if self.q_list is not None:
                 raise ValueError("recover-qbar takes no q_list: estimate_qbar walks its own q grid")
-            return
-        if self.q_list is None:
-            self.q_list = [0.5]
-        if not isinstance(self.q_list, list) or not all(map(is_real, self.q_list)):
-            raise ValueError("q_list must be a list of numbers")
-        if len(set(self.q_list)) != len(self.q_list):
-            raise ValueError(f"q_list must not repeat a value, got {self.q_list}")
-        if not self.q_list:
-            raise ValueError("q_list must not be empty")
-        if self.experiment in ("deflate-compare", "scaling-ratio") and len(self.q_list) > 1:
-            raise ValueError(f"{self.experiment} runs one q: q_list must hold one value")
-        if any(not (0.0 < q <= 1.0) for q in self.q_list):
-            raise ValueError("all q must lie in (0, 1]")
-        if 1.0 in self.q_list and any(solve is _lqmd for *_, solve in _RUNS[self.experiment](self)):
+        else:
+            if self.q_list is None:
+                self.q_list = [0.5]
+            if not isinstance(self.q_list, list) or not all(map(is_real, self.q_list)):
+                raise ValueError("q_list must be a list of numbers")
+            if len(set(self.q_list)) != len(self.q_list):
+                raise ValueError(f"q_list must not repeat a value, got {self.q_list}")
+            if not self.q_list:
+                raise ValueError("q_list must not be empty")
+            if any(not (0.0 < q <= 1.0) for q in self.q_list):
+                raise ValueError("all q must lie in (0, 1]")
+        # The other rules read the entry's own runs, so a new entry gets them without an edit here.
+        runs = _RUNS[self.experiment](self)
+        solves = {getattr(solve, "func", solve) for *_, solve in runs}
+        # Unchecked, every cell would fail at the enumeration guard, and each row matched against its optimum with it.
+        if solves & _ENUMERATING and any(K > ENUMERATION_GUARD for K in self.K_list):
+            raise ValueError(f"{self.experiment} enumerates subsets: "
+                             f"all K in K_list must be at most {ENUMERATION_GUARD}")
+        q_list = self.q_list or []
+        # Unchecked, a q that no run takes would be ignored.
+        unused = sorted(set(q_list) - {q for _, q, *_ in runs})
+        if unused:
+            raise ValueError(f"{self.experiment} runs no q in {unused}: q_list may hold only the q of its runs")
+        if 1.0 in q_list and _lqmd in solves:
             raise ValueError(f"{self.experiment} runs LQMD, which needs q < 1: q_list must not hold 1")
 
     @classmethod
@@ -156,6 +161,10 @@ def _exact(row, problem, cell):
     row.supported = len(cell.optimum.best_support)
     row.power_mw = float(problem.budgets @ cell.optimum.best_x) * 1e3
     row.match = True
+
+
+# The solves that call enumerate_l0, which is guarded to K <= ENUMERATION_GUARD.
+_ENUMERATING = {_exact, _qbar}
 
 
 def _lq(row, problem, cell, n_starts=None):

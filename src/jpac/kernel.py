@@ -50,7 +50,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .network import NormalizedProblem, is_int, is_real, lu_solve
+from .network import NormalizedProblem, is_int, is_real, lu_solve, numeric_array
 
 EPS_OPTIMAL = "eps-optimal"
 EPS_KKT = "eps-kkt"
@@ -68,6 +68,9 @@ ITER_CAP_ABS = 100_000  # no start takes more steps, whatever iter_cap's formula
 SUPPORT_TOL = 1e-6  # a link is supported when [b - A x]_k <= SUPPORT_TOL
 INIT_MARGIN = 1e-3  # random starts draw xi from [margin, 1 - margin]
 _W_FLOOR = 1e-280  # retire a start once a component nears the float64 range
+# A start w_init must meet A~ w = b~ to START_TOL (1 + ||A||_inf): with w1 <= 1,
+# ||A||_inf bounds A w1, so the tolerance scales with the terms that round.
+START_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,10 @@ def interior_point_random(problem: AugmentedProblem, xi: np.ndarray) -> np.ndarr
     xi of shape (K,) gives one start of shape (3K,); xi of shape (n, K) gives
     one start per row, shape (n, 3K).
     """
-    xi = np.asarray(xi, dtype=float)
+    shape = f"({problem.K},) or (n, {problem.K})"
+    xi = numeric_array(xi, "xi", shape)
     if xi.shape[-1:] != (problem.K,) or xi.ndim > 2:
-        raise ValueError(f"xi must have shape ({problem.K},) or (n, {problem.K})")
+        raise ValueError(f"xi must have shape {shape}")
     # A NaN makes min or max NaN, which fails both comparisons.
     if xi.size and not (INIT_MARGIN <= xi.min() and xi.max() <= 1.0 - INIT_MARGIN):
         raise ValueError("xi must be finite and lie in [INIT_MARGIN, 1 - INIT_MARGIN]")
@@ -304,13 +308,17 @@ def _line_search(
     return cand[rows, best], f[rows, best], phi
 
 
+def _primal_residual(problem: AugmentedProblem, w: np.ndarray) -> float:
+    """max|A~ w - b~|: the larger of max|A w1 + w2 - b| and max|w1 + w3 - 1|."""
+    k = problem.K
+    w1, w2, w3 = w[:k], w[k : 2 * k], w[2 * k :]
+    return float(max(np.max(np.abs(problem.A @ w1 + w2 - problem.b)), np.max(np.abs(w1 + w3 - 1.0))))
+
+
 def _certificate(
     problem: AugmentedProblem, config: SolverConfig, w: np.ndarray, lam: np.ndarray,
     resid: np.ndarray, f_val: float, termination: str, iterations: int, ridge_retries: int,
 ) -> KktCertificate:
-    k = problem.K
-    w1, w2, w3 = w[:k], w[k : 2 * k], w[2 * k :]
-    primal = max(np.max(np.abs(problem.A @ w1 + w2 - problem.b)), np.max(np.abs(w1 + w3 - 1.0)))
     return KktCertificate(
         lam=lam,
         dual_residual=float(np.min(resid)),
@@ -320,7 +328,7 @@ def _certificate(
         f_value=float(f_val),
         iterations=int(iterations),
         ridge_retries=int(ridge_retries),
-        primal_residual=float(primal),
+        primal_residual=_primal_residual(problem, w),
     )
 
 
@@ -407,13 +415,23 @@ def _solve_batch(
 def solve_potential_reduction(
     problem: AugmentedProblem, config: SolverConfig, w_init: np.ndarray
 ) -> tuple[np.ndarray, KktCertificate]:
-    """Iterate to an eps-optimal or eps-KKT point (or hit the iteration cap)."""
-    w_init = np.asarray(w_init, dtype=float)
-    if w_init.shape != (3 * problem.K,):
-        raise ValueError(f"w_init must have shape ({3 * problem.K},), got {w_init.shape}")
+    """Iterate to an eps-optimal or eps-KKT point (or hit the iteration cap).
+
+    w_init must be strictly positive and meet A~ w = b~ to START_TOL, scaled
+    by 1 + ||A||_inf: every step keeps A~ w where it started, so a start off
+    it would end certified off it too.
+    """
+    shape = (3 * problem.K,)
+    w_init = numeric_array(w_init, "w_init", str(shape))
+    if w_init.shape != shape:
+        raise ValueError(f"w_init must have shape {shape}, got {w_init.shape}")
     # A NaN makes the minimum NaN, which fails the comparison.
     if not (w_init.min() > 0.0 and w_init.max() < np.inf):
         raise ValueError("w_init must be finite and strictly positive")
+    tol = START_TOL * (1.0 + np.abs(problem.A).sum(axis=1).max())
+    primal = _primal_residual(problem, w_init)
+    if primal > tol:
+        raise ValueError(f"w_init must satisfy A~ w = b~: max|A~ w - b~| = {primal:.3g} exceeds {tol:.3g}")
     return _solve_batch(problem, config, w_init[None, :])[0]
 
 

@@ -73,27 +73,37 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(a, b, signature="dd->d")
 
 
-def _read_array(value, name: str, shape: tuple | None) -> np.ndarray:
-    """value as a float array, else ValueError naming the field.
+def numeric_array(value, name: str, shape: str) -> np.ndarray:
+    """value as a float array whose entries are numbers, else ValueError naming it.
 
-    The checks run in order: the entries must be numbers (dtype kind i, u or
-    f; a bool or a string is not one), the shape must be `shape` (None asks
-    for a square matrix), and every entry must be finite, as NaN slips
-    through every sign check.
+    The entries must have dtype kind i, u or f: a bool or a string is not a
+    number, though numpy would cast either to a float.  shape is the shape
+    the error message asks for; the caller checks it.
     """
     try:
         a = np.asarray(value)
     except (TypeError, ValueError) as exc:   # a ragged nesting
         raise ValueError(f"{name} must be a numeric array: {exc}") from None
     if a.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be a numeric array of shape {shape or '(K, K)'}, got {value!r:.60}")
+        raise ValueError(f"{name} must be a numeric array of shape {shape}, got {value!r:.60}")
+    return a.astype(float, copy=False)
+
+
+def _read_array(value, name: str, shape: tuple | None) -> np.ndarray:
+    """value as a float array, else ValueError naming the field.
+
+    The checks run in order: the entries must be numbers (numeric_array),
+    the shape must be `shape` (None asks for a square matrix), and every
+    entry must be finite, as NaN slips through every sign check.
+    """
+    a = numeric_array(value, name, str(shape or "(K, K)"))
     if shape is None and (a.ndim != 2 or a.shape[0] != a.shape[1]):
         raise ValueError(f"{name} must be a square matrix, got {a.shape}")
     if shape is not None and a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
-    return a.astype(float, copy=False)
+    return a
 
 
 def _as_geometry(geometry, k: int) -> dict:

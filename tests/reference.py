@@ -5,6 +5,8 @@ route to an answer jpac computes another way, or an older, longer
 formulation that a jpac primitive replaced:
 
 - lp_exact: the l1 reformulation's LP optimum by vertex enumeration;
+- lq_vertices: every vertex of the same polytope with its residuals, on
+  which the lq objective (concave) attains its global minimum;
 - foschini_miljanic: fixed-point power control, against admissible's solve;
 - necessary_condition: the full-set necessary condition, on jpac's own
   admission._necessary, which preprocess runs;
@@ -62,6 +64,36 @@ def lp_exact(problem: NormalizedProblem) -> np.ndarray:
     if best_x is None:
         raise RuntimeError("no feasible vertex found")
     return np.clip(best_x, 0.0, 1.0)
+
+
+def lq_vertices(problem: NormalizedProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex x of {A x <= b, 0 <= x <= e} and its SINR residuals r = b - A x.
+
+    The lq objective alpha pbar^T x + sum_k r_k^q is concave on this
+    polytope, so one of its vertices attains the global minimum, apart from
+    the solver.  Each of the C(3K, K) choices of K active rows is solved;
+    singular and infeasible choices are dropped, and a vertex may repeat.
+    The residual of each active SINR row is set to exactly 0: a rounding
+    residual of 1e-17 would count (1e-17)^q, near 1 at small q, as an
+    unserved link.  Returns X of shape (n, K) and R of shape (n, K).
+    """
+    k = problem.K
+    if k > LP_GUARD:
+        raise ValueError(f"vertex oracle guarded to K <= {LP_GUARD}")
+    G = np.vstack([problem.A, np.eye(k), -np.eye(k)])
+    h = np.concatenate([problem.b, np.ones(k), np.zeros(k)])
+    active = np.array(list(combinations(range(3 * k), k)))
+    sub = G[active]
+    sv = np.linalg.svd(sub, compute_uv=False)
+    regular = sv[:, -1] > 1e-12 * sv[:, 0]
+    active, sub = active[regular], sub[regular]
+    X = np.linalg.solve(sub, h[active][:, :, None])[:, :, 0]
+    feasible = np.all(X @ G.T <= h + 1e-9, axis=1)
+    X, active = X[feasible], active[feasible]
+    R = np.maximum(problem.b - X @ problem.A.T, 0.0)
+    rows, cols = np.nonzero(active < k)
+    R[rows, active[rows, cols]] = 0.0
+    return X, R
 
 
 def foschini_miljanic(problem: NormalizedProblem, S) -> np.ndarray:

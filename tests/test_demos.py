@@ -1,7 +1,4 @@
-"""The demos run end to end on the public API and print their findings.
-
-demos/approximation_comparison.py is left out: it takes about 30 s.
-"""
+"""The demos run end to end on the public API and print their findings."""
 
 import re
 import runpy
@@ -25,3 +22,12 @@ def test_deflation_comparison(capsys):
     # Every one of the demo's 50 runs is a win for one pipeline or a tie.
     assert sum(map(int, counts.groups())) == 50
     assert "mean admitted links:" in out
+
+
+def test_approximation_comparison(capsys):
+    runpy.run_path(str(DEMOS / "approximation_comparison.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
+    assert list(rows) == ["benchmark", "lq0.1", "l1"], out
+    # The benchmark is the exact optimum, so it recovers itself on every run.
+    assert rows["benchmark"][-1] == "100%"

@@ -231,6 +231,19 @@ class TestRunExperiment:
         assert ExperimentConfig(experiment="recover-qbar").q_list is None
         assert ExperimentConfig(experiment="deflate-compare").q_list == [0.5]
 
+    def test_config_rules_come_from_the_runs(self, monkeypatch):
+        # A new entry with an _exact run gets the enumeration guard and the
+        # q rule from its runs alone.  Unchecked, its K = 21 rows all failed:
+        # exact on the guard, lq with no optimum to match against.
+        monkeypatch.setitem(harness._RUNS, "exact-lq", lambda c: [("exact", None, 1.0, harness._exact),
+                                                                  ("lq", c.q_list[0], 1.0, harness._lq)])
+        monkeypatch.setattr(harness, "EXPERIMENTS", tuple(harness._RUNS))
+        ExperimentConfig(experiment="exact-lq", K_list=[20])
+        with pytest.raises(ValueError, match="K_list must be at most 20"):
+            ExperimentConfig(experiment="exact-lq", K_list=[21])
+        with pytest.raises(ValueError, match=r"runs no q in \[0\.7\]: q_list"):
+            ExperimentConfig(experiment="exact-lq", q_list=[0.3, 0.7])
+
 
 class TestCli:
     def test_generate_solve_enumerate(self, tmp_path, capsys):

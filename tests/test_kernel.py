@@ -182,6 +182,12 @@ class TestInteriorPoints:
         with pytest.raises(ValueError, match="xi must be finite"):
             kernel.interior_point_random(aug3, np.stack([np.full(3, 0.5), xi]) if stacked else xi)
 
+    @pytest.mark.parametrize("xi", [["0.5", "0.5", "0.5"], [True, True, True]], ids=["str", "bool"])
+    def test_non_numeric_xi_rejected(self, aug3, xi):
+        # Unchecked, numpy cast the strings to floats and returned a start.
+        with pytest.raises(ValueError, match="^xi must be a numeric array"):
+            kernel.interior_point_random(aug3, xi)
+
     @pytest.mark.parametrize("K", [1, 10, 33, 64])
     def test_stacked_rows_match_single_calls(self, K):
         # Bit for bit: a stacked matrix-matrix product would round differently.
@@ -574,6 +580,34 @@ class TestSolve:
         w0 = kernel.interior_point_default(aug3)
         w0[4] = bad
         with pytest.raises(ValueError, match="w_init must be finite"):
+            kernel.solve_potential_reduction(aug3, kernel.SolverConfig(), w0)
+
+    @pytest.mark.parametrize("w_init", [["0.5"] * 9, [True] * 9], ids=["str", "bool"])
+    def test_rejects_non_numeric_start(self, aug3, w_init):
+        # Unchecked, numpy cast the strings to floats and the solve ended eps-kkt.
+        with pytest.raises(ValueError, match="^w_init must be a numeric array"):
+            kernel.solve_potential_reduction(aug3, kernel.SolverConfig(), w_init)
+
+    def test_rejects_start_off_the_constraints(self):
+        # Every step keeps A~ w where the start put it.  Unchecked, this start
+        # ended eps-kkt with primal_residual 0.4, x = 0.6 e and no support; the
+        # default start reaches x = 0.625 e with all three links supported.
+        A = np.full((3, 3), -0.1) + 1.1 * np.eye(3)
+        aug = kernel.augment(NormalizedProblem(A=A, b=np.full(3, 0.5), budgets=np.ones(3)), q=0.5)
+        config = kernel.SolverConfig(epsilon=1e-6)
+        with pytest.raises(ValueError, match=r"^w_init must satisfy A~ w = b~: max\|A~ w - b~\| = 0\.4 "):
+            kernel.solve_potential_reduction(aug, config, np.full(9, 0.3))
+        w, cert = kernel.solve_potential_reduction(aug, config, kernel.interior_point_default(aug))
+        assert kernel.round_to_power(w, aug)[1] == [0, 1, 2] and cert.primal_residual <= 1e-9
+
+    def test_start_within_tolerance_solves(self, aug3):
+        # A start off A~ w = b~ by less than START_TOL (1 + ||A||_inf) solves.
+        w0 = kernel.interior_point_default(aug3)
+        tol = kernel.START_TOL * (1.0 + np.abs(aug3.A).sum(axis=1).max())
+        w0[3] += 0.5 * tol
+        kernel.solve_potential_reduction(aug3, kernel.SolverConfig(), w0)
+        w0[3] += tol
+        with pytest.raises(ValueError, match="w_init must satisfy"):
             kernel.solve_potential_reduction(aug3, kernel.SolverConfig(), w0)
 
     @pytest.mark.parametrize("shape", [(8,), (10,), (1, 9), (3, 3)])

@@ -14,7 +14,7 @@ from jpac.oracle import (ENUMERATION_GUARD, EnumerationResult, enumerate_l0, est
                          matches_optimum)
 
 from conftest import ALPHA3, X3_STAR, diag_problem, random_problem
-from reference import LP_GUARD, lp_exact
+from reference import LP_GUARD, lp_exact, lq_vertices
 
 
 def _ref_enumerate_l0(problem, zero_tol=1e-9):
@@ -153,6 +153,40 @@ class TestLpExact:
     def test_guard(self):
         with pytest.raises(ValueError):
             lp_exact(diag_problem(LP_GUARD + 1, 0.5, 0.01))
+
+
+class TestQbarTheorem:
+    """The q-bar theorem on the lq objective's global minimum, apart from the solver.
+
+    Forty default instances, K 3-5, seeds 9000-9039.  The scenario's budget
+    rule leaves A, b and alpha pbar the same at every distance scale, so the
+    two scales alternate over distinct seeds.
+    """
+
+    PROBLEMS = [(3 + seed % 3, seed, 0.707 if seed % 2 else 1.0) for seed in range(9000, 9040)]
+
+    def test_vertex_l0_minimum_is_the_enumeration_objective(self):
+        for K, seed, scale in self.PROBLEMS:
+            problem = random_problem(K, seed, scale)
+            X, R = lq_vertices(problem)
+            l0 = np.count_nonzero(R > 0.0, axis=1) + problem.alpha * (X @ problem.budgets)
+            assert l0.min() == pytest.approx(enumerate_l0(problem).objective, abs=1e-9), seed
+
+    def test_small_q_global_minimizer_is_the_l0_optimum(self):
+        # Every q in (0, q-bar] solves the instance exactly; q = 1e-6 lies
+        # below every q-bar here.
+        unique = 0
+        for K, seed, scale in self.PROBLEMS:
+            problem = random_problem(K, seed, scale)
+            exact = enumerate_l0(problem)
+            if not exact.is_unique_support:
+                continue
+            unique += 1
+            X, R = lq_vertices(problem)
+            best = int(np.argmin(problem.alpha * (X @ problem.budgets) + np.sum(R ** 1e-6, axis=1)))
+            assert tuple(np.flatnonzero(R[best] == 0.0)) == exact.best_support, seed
+            assert X[best] == pytest.approx(exact.best_x, abs=1e-9), seed
+        assert unique >= len(self.PROBLEMS) // 2
 
 
 class TestMatchesOptimum:
